@@ -5,9 +5,11 @@ linear system relating 4/P^2 to (trace, det) for two transmittance
 settings; it is algebraically exact but, at low detection efficiency,
 amplifies probability errors in the determinant by a factor 4/eta more
 than in the trace (see ``sensitivity``).  ``ml_estimate`` uses every
-setting through a binomial likelihood maximized by a staged brute-force
-grid search over the physical region 1 <= det <= (trace/2)^2, and flags
-the determinant as unreliable whenever the likelihood is flat along det.
+setting through a binomial likelihood maximized exactly over the physical
+region 1 <= det <= (trace/2)^2: in a = det - trace + 1, b = trace - 2 each
+4/P^2 - 4 is linear, Newton's method finds the interior, pure-edge and
+thermal-edge maxima, the best wins (exact ties go to the smaller det), and
+det is flagged unreliable when the likelihood is flat along it.
 
 The module also carries the reference estimators (classical gain ratios,
 loss-corrected homodyne variances), the efficiency calibration from
@@ -26,14 +28,11 @@ from .gaussian import (
     UnphysicalStateError,
     _bs_gram_excess,
     check_physicality,
-    click_probability_from_invariants,
     cov_from_squeezer,
     gain_bounds_from_trace,
-    no_click_from_invariants,
     variances_from_invariants,
 )
-
-_LOG2 = math.log(2.0)
+from .simulate import expected_click_rate
 
 # Two transmittances closer than this give a numerically meaningless inversion.
 DEGENERATE_T_TOL = 1e-6
@@ -124,23 +123,39 @@ def sensitivity(p1: float, eta: float) -> tuple[float, float]:
     return 4.0 / (eta * p3), -16.0 / (eta * eta * p3)
 
 
-def _loglike_arrays(trace, det, eff_ts, trials, clicks):
-    """Binomial log-likelihood summed over settings, broadcasting over (trace, det).
+def _setting_arrays(data, eta_assumed):
+    """(effective transmittance, trials, clicks) arrays, one entry per record."""
+    eff = np.array([eta_assumed * r.t_nominal for r in data], dtype=float)
+    ns = np.array([r.trials for r in data], dtype=float)
+    cs = np.array([r.clicks for r in data], dtype=float)
+    return eff, ns, cs
 
-    Written against the cancellation-free form of the no-click
-    probability so it stays accurate when clicks are parts-per-million.
-    Callers must restrict inputs to the physical region.
+
+def _setting_loglike(u, n, c, derivatives=False):
+    """Per-setting binomial log-likelihood as a function of the excess u >= 0.
+
+    With s = sqrt(4 + u), P = 2/s = (1 + u/4)^(-1/2) and 1 - P = u/(s(s + 2)),
+    so l = (n - c)*ln(P) + c*ln(1 - P) = -n*ln(1 + u/4)/2 + c*ln(u/(2s + 4)),
+    accurate even when clicks are parts-per-million; u = 0 with clicks
+    gives -inf.  With ``derivatives`` also returns dl/du and d2l/du2.
     """
-    total = np.zeros(np.broadcast(np.asarray(trace), np.asarray(det)).shape)
-    for t, n, c in zip(eff_ts, trials, clicks):
-        u = np.maximum(_bs_gram_excess(trace, det, t), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt(4.0 + u)
-        total = total + (n - c) * (_LOG2 - np.log(s))
-        if c > 0:
-            with np.errstate(divide="ignore"):
-                log_q = np.log(u) - np.log(s) - np.log(s + 2.0)
-            total = total + c * log_q
-    return total
+        click_term = np.where(c > 0, c * np.log(u / (2.0 * s + 4.0)), 0.0)
+        value = -0.5 * n * np.log1p(0.25 * u) + click_term
+        if not derivatives:
+            return value
+        w = np.where(c > 0, c * (s + 2.0) / (s * u), 0.0)  # = c/(s(s - 2))
+        d1 = 0.5 * (w - n / (s * s))
+        d2 = 0.5 * (n / s**4 - w * (s - 1.0) * (s + 2.0) / (s * s * u))
+    return value, d1, d2
+
+
+def _loglike_arrays(trace, det, eff_ts, trials, clicks):
+    """Log-likelihood summed over settings, broadcasting over physical (trace, det)."""
+    column = (-1,) + (1,) * np.broadcast(trace, det).ndim  # settings on the leading axis
+    eff, n, c = (np.reshape(x, column) for x in (eff_ts, trials, clicks))
+    return _setting_loglike(np.maximum(_bs_gram_excess(trace, det, eff), 0.0), n, c).sum(axis=0)
 
 
 def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> float:
@@ -157,19 +172,7 @@ def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> 
         raise ValueError(f"eta_assumed = {eta_assumed} outside (0, 1]")
     if not check_physicality(trace, det):
         raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
-    total = 0.0
-    for record in data:
-        eff_t = eta_assumed * record.t_nominal
-        p = no_click_from_invariants(trace, det, eff_t)
-        q = click_probability_from_invariants(trace, det, eff_t)
-        if q == 0.0:
-            if record.clicks > 0:
-                return float("-inf")
-            continue
-        total += (record.trials - record.clicks) * math.log(p)
-        if record.clicks > 0:
-            total += record.clicks * math.log(q)
-    return total
+    return float(_loglike_arrays(trace, det, *_setting_arrays(data, eta_assumed)))
 
 
 def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> LikelihoodGrid:
@@ -180,25 +183,12 @@ def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> LikelihoodGrid:
     """
     trace_axis = np.asarray(trace_axis, dtype=float)
     det_axis = np.asarray(det_axis, dtype=float)
-    eff = np.array([eta_assumed * r.t_nominal for r in data])
-    ns = np.array([r.trials for r in data], dtype=float)
-    cs = np.array([r.clicks for r in data], dtype=float)
     tr = trace_axis[:, None]
     dt = det_axis[None, :]
     excluded = (dt > 0.25 * tr * tr + PHYS_TOL) | (dt < 1.0 - PHYS_TOL)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_l = _loglike_arrays(tr, dt, eff, ns, cs)
+    log_l = _loglike_arrays(tr, dt, *_setting_arrays(data, eta_assumed))
     log_l = np.where(excluded, -np.inf, log_l)
     return LikelihoodGrid(trace_axis, det_axis, log_l, excluded)
-
-
-def _argmax_prefer_small_det(grid: LikelihoodGrid) -> tuple[int, int]:
-    """Index of the grid maximum; exact ties resolved toward smaller det, then trace."""
-    best = np.max(grid.log_l)
-    ii, jj = np.nonzero(grid.log_l == best)
-    order = np.lexsort((grid.trace_axis[ii], grid.det_axis[jj]))
-    k = order[0]
-    return int(ii[k]), int(jj[k])
 
 
 def _det_slice_spread(data, eta_assumed, trace_hat, n_det=401):
@@ -213,11 +203,8 @@ def _det_slice_spread(data, eta_assumed, trace_hat, n_det=401):
     det_hi = 0.25 * trace_hat * trace_hat
     if det_hi - 1.0 < 1e-9:
         return float("inf")
-    eff = np.array([eta_assumed * r.t_nominal for r in data])
-    ns = np.array([r.trials for r in data], dtype=float)
-    cs = np.array([r.clicks for r in data], dtype=float)
     det_axis = np.linspace(1.0, det_hi, n_det)
-    ll = _loglike_arrays(np.full(n_det, trace_hat), det_axis, eff, ns, cs)
+    ll = _loglike_arrays(trace_hat, det_axis, *_setting_arrays(data, eta_assumed))
     return float(ll.max() - ll.min())
 
 
@@ -237,76 +224,91 @@ def _finish_estimate(trace, det, det_reliable, log_l) -> Estimate:
     )
 
 
-def ml_estimate(
-    data: list,
-    eta_assumed: float,
-    *,
-    resolution: float = 1e-4,
-    coarse_points: int = 200,
-    flatness_nats: float = FLATNESS_NATS,
-) -> Estimate:
+def _edge_max(edge, b, jac, ns, cs):
+    """Newton maximizer in b > 0 along an edge given by edge(b) = (a, da/db, d2a/db2),
+    kept inside a bracket on the sign of the slope, which is +inf at b = 0."""
+    lo, hi = 0.0, math.inf
+    for _ in range(400):
+        a, da, d2a = edge(b)
+        _, d1, d2 = _setting_loglike(jac @ (a, b), ns, cs, derivatives=True)
+        du = jac @ (da, 1.0)
+        g, h = d1 @ du, d2 @ (du * du) + d2a * (d1 @ jac[:, 0])
+        lo, hi = (b, hi) if g > 0.0 else (lo, b)
+        step = -g / h if h < 0.0 else math.inf
+        if abs(step) <= 4e-16 * b or hi - lo <= 4e-16 * b:
+            break
+        b = b + step if lo < b + step < hi else min(0.5 * (lo + hi), 2.0 * b)
+    return b
+
+
+def _interior_max(x, jac, ns, cs):
+    """Damped Newton ascent in x = (a, b) where every u > 0; each setting enters
+    the Hessian as -|d2l/du2|, so every step is an ascent direction."""
+    for _ in range(100):
+        value, d1, d2 = _setting_loglike(jac @ x, ns, cs, derivatives=True)
+        grad = jac.T @ d1
+        step = np.linalg.lstsq((jac.T * np.abs(d2)) @ jac, grad, rcond=None)[0]
+        if not grad @ step > 1e-10:
+            break
+        for k in range(40):  # halve the step until the log-likelihood rises
+            u = jac @ (x + 0.5**k * step)
+            if np.all(u > 0.0) and _setting_loglike(u, ns, cs).sum() > value.sum():
+                break
+        else:
+            break
+        x = x + 0.5**k * step
+    return x
+
+
+def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     """Constrained maximum-likelihood estimate of (trace, det).
 
-    Brute-force search: a coarse grid over trace in [2, trace_hi] and det
-    in [1, (trace/2)^2], where trace_hi brackets the data-driven trace
-    scale with a 10x overshoot, followed by re-centered grids 10x finer
-    per stage until both axis steps are <= ``resolution``.  Exact
-    log-likelihood ties prefer the smaller det (the more conservative,
-    closer-to-pure claim).
+    In a = det - trace + 1, b = trace - 2 each setting's u = 4/P^2 - 4 =
+    t^2*a + 2*t*b is linear; the physical region is b >= 0, -b <= a <= b^2/4.
+    Candidates: damped 2-D Newton from a weighted least-squares fit to
+    u_hat = 4/p_hat^2 - 4, if it ends inside; 1-D Newton on the pure edge
+    det = 1 and the thermal edge det = (trace/2)^2 (det set exactly); the
+    vacuum corner when there are no clicks.  The most likely wins; exact
+    ties prefer the smaller det (the more conservative, closer-to-pure claim).
 
     det_reliable is False when, at the optimal trace, the log-likelihood
-    varies by less than ``flatness_nats`` across the whole admissible det
-    interval, i.e. when the maximizer along det is essentially arbitrary.
+    varies by less than FLATNESS_NATS across the whole admissible det
+    interval.  EstimationError: no data, a zero-trial setting, fewer than
+    two distinct nonzero transmittances, clicks at zero transmittance, or
+    clicks == trials at every setting (no finite maximum).
     """
-    if not data:
-        raise EstimationError("no click records supplied")
     if not 0.0 < eta_assumed <= 1.0:
         raise ValueError(f"eta_assumed = {eta_assumed} outside (0, 1]")
-    if len({r.t_nominal for r in data}) < 2:
-        raise EstimationError("need at least two distinct transmittances")
-    eff = np.array([eta_assumed * r.t_nominal for r in data])
-    ns = np.array([r.trials for r in data], dtype=float)
-    cs = np.array([r.clicks for r in data], dtype=float)
+    eff, ns, cs = _setting_arrays(data, eta_assumed)
+    if np.any(ns == 0):
+        raise EstimationError("a setting has zero trials")
+    if np.any(cs[eff == 0.0] > 0):
+        raise EstimationError("clicks recorded at zero transmittance, where P(click) = 0")
+    eff, ns, cs = eff[eff > 0.0], ns[eff > 0.0], cs[eff > 0.0]  # t = 0 is uninformative
+    if np.unique(eff).size < 2:
+        raise EstimationError("need at least two distinct nonzero transmittances")
     if cs.sum() == 0:
         # Zero clicks anywhere: the data are certain only for the vacuum.
         return _finish_estimate(2.0, 1.0, True, 0.0)
+    if np.all(cs == ns):
+        raise EstimationError("every setting always clicked: no finite likelihood maximum")
 
-    # Data-driven trace bracket: (4/p^2 - 4)/(2*eff_t) estimates trace - 2
-    # to leading order in eff_t; overshoot by 10x.
-    pos = eff > 0.0
-    p_hat = np.maximum((ns - cs) / ns, 0.5 / ns)
-    span = (4.0 / (p_hat[pos] * p_hat[pos]) - 4.0) / (2.0 * eff[pos])
-    trace_hi = 2.0 + max(10.0 * float(span.max()), 1e-3)
-
-    trace_axis = np.linspace(2.0, trace_hi, coarse_points)
-    det_axis = np.linspace(1.0, max(0.25 * trace_hi * trace_hi, 1.0 + 1e-9), coarse_points)
-    grid = likelihood_grid(data, eta_assumed, trace_axis, det_axis)
-    i, j = _argmax_prefer_small_det(grid)
-    trace_hat = float(grid.trace_axis[i])
-    det_hat = float(grid.det_axis[j])
-    log_l_max = float(grid.log_l[i, j])
-    step_t = trace_axis[1] - trace_axis[0]
-    step_d = det_axis[1] - det_axis[0]
-
-    offsets = np.arange(-20, 21, dtype=float)
-    for _ in range(12):
-        if step_t <= resolution and step_d <= resolution:
-            break
-        if step_t > resolution:
-            step_t /= 10.0
-        if step_d > resolution:
-            step_d /= 10.0
-        trace_axis = np.unique(np.maximum(trace_hat + offsets * step_t, 2.0))
-        det_axis = np.unique(np.maximum(det_hat + offsets * step_d, 1.0))
-        grid = likelihood_grid(data, eta_assumed, trace_axis, det_axis)
-        i, j = _argmax_prefer_small_det(grid)
-        trace_hat = float(grid.trace_axis[i])
-        det_hat = float(grid.det_axis[j])
-        log_l_max = float(grid.log_l[i, j])
-
-    spread = _det_slice_spread(data, eta_assumed, trace_hat)
-    det_reliable = spread >= flatness_nats
-    return _finish_estimate(trace_hat, det_hat, det_reliable, log_l_max)
+    jac = np.stack([eff * eff, 2.0 * eff], axis=1)  # du/d(a, b)
+    q = (cs + 0.5) / (ns + 1.0)  # half a count keeps p_hat = 1 - q inside (0, 1)
+    w = np.sqrt(ns * (1.0 - q) ** 5 / q)  # 1/sd of u_hat by the delta method
+    u_hat = 4.0 * q * (2.0 - q) / (1.0 - q) ** 2  # 4/p_hat^2 - 4 without cancellation
+    a, b = np.linalg.lstsq(jac * w[:, None], w * u_hat, rcond=None)[0]
+    b = b if b > 0.0 else 1.0
+    trace_p = 2.0 + _edge_max(lambda b: (-b, -1.0, 0.0), b, jac, ns, cs)
+    trace_t = 2.0 + _edge_max(lambda b: (0.25 * b * b, 0.5 * b, 0.5), b, jac, ns, cs)
+    candidates = [(trace_p, 1.0), (trace_t, 0.25 * trace_t * trace_t)]
+    a, b = _interior_max(np.array([min(max(a, -b), 0.25 * b * b), b]), jac, ns, cs)
+    if b > 0.0 and -b < a < 0.25 * b * b:
+        candidates.append((2.0 + b, min(a + b + 1.0, 0.25 * (2.0 + b) * (2.0 + b))))
+    scored = [(float(_loglike_arrays(t, d, eff, ns, cs)), -d, -t) for t, d in candidates]
+    log_l, neg_det, neg_trace = max(scored)  # exact ties: smaller det, then smaller trace
+    det_reliable = _det_slice_spread(data, eta_assumed, -neg_trace) >= FLATNESS_NATS
+    return _finish_estimate(-neg_trace, -neg_det, det_reliable, log_l)
 
 
 def classical_estimate(gain_min: float, gain_max: float) -> SqueezerParams:
@@ -346,12 +348,7 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
     """
     if not click_rates:
         raise EstimationError("no calibration points supplied")
-    preds = np.array(
-        [
-            0.5 * rep_rate * ((p.h - 0.5) * (p.g + 1.0 / p.g) - 1.0)
-            for _, p in click_rates
-        ]
-    )
+    preds = np.array([expected_click_rate(p, 1.0, rep_rate) for _, p in click_rates])
     rates = np.array([r for r, _ in click_rates], dtype=float)
     if np.max(preds) <= 0.0:
         raise EstimationError("all calibration points are at vacuum gain; eta undetermined")

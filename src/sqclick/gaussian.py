@@ -106,9 +106,9 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
     """Recover (vmin, vmax) from the two invariants of the covariance matrix.
 
     The variances are the roots of lambda^2 - trace*lambda + det = 0:
-    vmax,min = (trace +- sqrt(trace^2 - 4*det)) / 2.  A discriminant in
-    [-PHYS_TOL, 0) is clamped to zero; anything more negative means the
-    pair (trace, det) cannot come from a real matrix.
+    vmax = (trace + sqrt(trace^2 - 4*det))/2, vmin = det/vmax (no cancellation
+    at large trace).  A discriminant in [-PHYS_TOL, 0) is clamped to zero;
+    anything more negative means (trace, det) cannot come from a real matrix.
     """
     if det < 1.0 - PHYS_TOL:
         raise UnphysicalStateError(f"det = {det} violates det >= 1")
@@ -117,8 +117,8 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
         raise UnphysicalStateError(
             f"trace^2 - 4*det = {disc} < 0: no real quadrature variances"
         )
-    root = math.sqrt(max(disc, 0.0))
-    return QuadratureVariances(vmin=0.5 * (trace - root), vmax=0.5 * (trace + root))
+    vmax = 0.5 * (trace + math.sqrt(max(disc, 0.0)))
+    return QuadratureVariances(vmin=det / vmax, vmax=vmax)
 
 
 def purity(cov: CovarianceMatrix) -> float:

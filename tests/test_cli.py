@@ -231,6 +231,23 @@ class TestEstimate:
         assert float(rec["trace"]) == 2.0
         assert float(rec["det"]) == 1.0
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "1,1000,30,0\n0.5,0,0,0\n",  # zero-trial row
+            "0,1000,0,0\n0.5,1000,30,0\n",  # one informative transmittance
+            "1,1000,1000,0\n0.5,1000,1000,0\n",  # every setting saturated
+        ],
+        ids=["zero-trials", "one-transmittance", "saturated"],
+    )
+    def test_degenerate_tables_exit_code(self, tmp_path, capsys, rows):
+        data = tmp_path / "clicks.csv"
+        data.write_text("t_nominal,trials,clicks,dark_subtracted\n" + rows)
+        assert main(["estimate", "--data", str(data), "--eta", "0.5"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("sqclick: error:")
+        assert "Traceback" not in err
+
     def test_roundtrip_file_format(self, base_config, tmp_path):
         # estimate consumes exactly what simulate emits, file to file
         data = self._simulate(base_config, tmp_path)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqclick import (
     ClickRecord,
@@ -37,6 +38,27 @@ def noiseless_records(trace, det, eta, transmittances=(1.0, 0.75, 0.5, 0.25), n=
         q = click_probability_from_invariants(trace, det, eta * t)
         records.append(ClickRecord(t_nominal=t, trials=n, clicks=int(round(n * q))))
     return records
+
+
+def paper_config(eta):
+    return ExperimentConfig(
+        rep_rate=780400.0,
+        duration=100.0,
+        transmittances=(1.0, 0.75, 0.5, 0.25),
+        eta_apd=eta,
+    )
+
+
+def reference_log_likelihood(trace, det, records, eta):
+    # independent oracle: sum (n - c) ln P + c ln(1 - P) record by record
+    total = 0.0
+    for r in records:
+        p = no_click_from_invariants(trace, det, eta * r.t_nominal)
+        q = click_probability_from_invariants(trace, det, eta * r.t_nominal)
+        total += (r.trials - r.clicks) * math.log(p)
+        if r.clicks:
+            total += r.clicks * math.log(q)
+    return total
 
 
 class TestInvertTwoPoint:
@@ -165,8 +187,10 @@ class TestLogLikelihood:
             for j in (0, 2, 4):
                 if grid.excluded[i, j]:
                     continue
+                ref = reference_log_likelihood(trace_axis[i], det_axis[j], records, 0.3)
+                assert grid.log_l[i, j] == pytest.approx(ref, rel=1e-9)
                 scalar = log_likelihood(trace_axis[i], det_axis[j], records, 0.3)
-                assert grid.log_l[i, j] == pytest.approx(scalar, rel=1e-9)
+                assert scalar == pytest.approx(ref, rel=1e-9)
 
     def test_grid_excludes_forbidden_region(self):
         records = noiseless_records(TRACE0, DET0, 0.3, n=1000)
@@ -203,13 +227,7 @@ class TestMlEstimate:
         assert est.purity == 1.0
 
     def test_low_eta_trace_accurate_det_unreliable(self):
-        cfg = ExperimentConfig(
-            rep_rate=780400.0,
-            duration=100.0,
-            transmittances=(1.0, 0.75, 0.5, 0.25),
-            eta_apd=0.0084,
-        )
-        est = ml_estimate(simulate_run(TRACE0, DET0, cfg, seed=0), 0.0084)
+        est = ml_estimate(simulate_run(TRACE0, DET0, paper_config(0.0084), seed=0), 0.0084)
         assert est.trace == pytest.approx(TRACE0, abs=0.03)
         assert not est.det_reliable
 
@@ -224,12 +242,93 @@ class TestMlEstimate:
         est = ml_estimate([bumped, records[1]], eta)
         assert check_physicality(est.trace, est.det)
 
+    @pytest.mark.parametrize("bump,on_pure_edge", [(1.05, False), (0.95, True)])
+    def test_edge_results_are_exactly_physical(self, bump, on_pure_edge):
+        # scaling the clicks at t = 1 pushes the raw inversion across the
+        # thermal (more clicks) or the pure (fewer clicks) edge
+        eta = 0.008
+        records = noiseless_records(TRACE0, DET0, eta, transmittances=(1.0, 0.5))
+        bumped = ClickRecord(
+            t_nominal=1.0, trials=records[0].trials, clicks=int(records[0].clicks * bump)
+        )
+        est = ml_estimate([bumped, records[1]], eta)
+        assert est.det == (1.0 if on_pure_edge else 0.25 * est.trace * est.trace)
+        assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
+
+    @pytest.mark.parametrize("eta,seed", [(0.0084, 3), (0.05, 13)])
+    def test_at_least_as_likely_as_truth(self, eta, seed):
+        # flat low-eta likelihoods whose maximum a 1e-4-step grid search
+        # misses by 0.16 and 0.34 nats
+        records = simulate_run(TRACE0, DET0, paper_config(eta), seed=seed)
+        est = ml_estimate(records, eta)
+        truth = log_likelihood(TRACE0, DET0, records, eta)
+        assert est.log_likelihood_at_max >= truth - 1e-9
+
     def test_insufficient_data_rejected(self):
         rec = ClickRecord(t_nominal=0.5, trials=100, clicks=3)
         with pytest.raises(EstimationError):
             ml_estimate([rec], 0.5)
         with pytest.raises(EstimationError):
             ml_estimate([rec, rec], 0.5)
+
+    def test_zero_transmittance_row_carries_no_information(self):
+        rec = ClickRecord(t_nominal=0.5, trials=100, clicks=3)
+        dark = ClickRecord(t_nominal=0.0, trials=100, clicks=0)
+        with pytest.raises(EstimationError):
+            ml_estimate([rec, dark], 0.5)
+        records = noiseless_records(TRACE0, DET0, 0.5, n=10_000)
+        assert ml_estimate(records + [dark], 0.5) == ml_estimate(records, 0.5)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1.0, 100, 10), (0.5, 0, 0)],  # zero trials
+            [(1.0, 100, 10), (0.5, 100, 5), (0.0, 100, 1)],  # clicks at t = 0
+            [(1.0, 100, 100), (0.5, 100, 100), (0.0, 100, 0)],  # all saturated
+        ],
+        ids=["zero-trials", "clicks-at-t0", "saturated"],
+    )
+    def test_degenerate_data_rejected(self, rows):
+        with pytest.raises(EstimationError):
+            ml_estimate([ClickRecord(*row) for row in rows], 0.5)
+
+    def test_partial_saturation_has_finite_maximum(self):
+        records = [ClickRecord(1.0, 100, 100), ClickRecord(0.5, 100, 60)]
+        est = ml_estimate(records, 1.0)
+        assert math.isfinite(est.trace) and math.isfinite(est.log_likelihood_at_max)
+        assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
+
+
+@settings(deadline=None)
+@given(
+    trace=st.floats(2.0, 4.0),
+    det_frac=st.floats(0.0, 1.0),
+    eta=st.floats(0.005, 1.0),
+    t_percent=st.lists(st.integers(1, 100), min_size=2, max_size=16, unique=True),
+    log10_trials=st.floats(3.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ml_estimate_reaches_dense_grid_maximum(
+    trace, det_frac, eta, t_percent, log10_trials, seed
+):
+    det = 1.0 + det_frac * (0.25 * trace * trace - 1.0)
+    n = int(10**log10_trials)
+    rng = np.random.default_rng(seed)
+    records = []
+    for k in t_percent:
+        q = click_probability_from_invariants(trace, det, eta * k / 100)
+        records.append(ClickRecord(t_nominal=k / 100, trials=n, clicks=int(rng.binomial(n, q))))
+    est = ml_estimate(records, eta)
+    trace_hi = 2.0 + 2.0 * (max(trace, est.trace) - 2.0) + 0.1
+    grid = likelihood_grid(
+        records,
+        eta,
+        np.linspace(2.0, trace_hi, 150),
+        np.linspace(1.0, 0.25 * trace_hi * trace_hi, 150),
+    )
+    log_l = est.log_likelihood_at_max
+    assert log_l >= grid.log_l.max() - 1e-9 * abs(log_l)
+    assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
 
 
 class TestClassicalEstimate:

@@ -101,6 +101,11 @@ class TestVariancesFromInvariants:
         with pytest.raises(UnphysicalStateError):
             variances_from_invariants(2.321, 0.9)  # det < 1
 
+    def test_large_trace_keeps_heisenberg_product(self):
+        # trace - sqrt(trace^2 - 4) cancels; vmin must come out as det/vmax
+        qv = variances_from_invariants(1e5, 1.0)
+        assert qv.vmin * qv.vmax == pytest.approx(1.0, rel=1e-12)
+
     def test_tiny_negative_discriminant_clamped(self):
         qv = variances_from_invariants(2.0, 1.0 + 1e-13)
         assert qv.vmin == pytest.approx(qv.vmax)
