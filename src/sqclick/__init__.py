@@ -25,7 +25,6 @@ from .estimate import (
     ml_estimate,
     mode_count_fit,
     sensitivity,
-    trace_det_from_squeezer,
 )
 from .gaussian import (
     PHYS_TOL,
@@ -43,6 +42,8 @@ from .gaussian import (
     purity,
     purity_from_h,
     q_function,
+    squeezer_from_trace_det,
+    trace_det_from_squeezer,
     variances_from_invariants,
 )
 from .simulate import (
@@ -61,6 +62,8 @@ __all__ = [
     "UnphysicalStateError",
     "PHYS_TOL",
     "cov_from_squeezer",
+    "trace_det_from_squeezer",
+    "squeezer_from_trace_det",
     "variances_from_invariants",
     "purity",
     "purity_from_h",
@@ -89,7 +92,6 @@ __all__ = [
     "homodyne_correct",
     "estimate_eta",
     "mode_count_fit",
-    "trace_det_from_squeezer",
     "EnsembleResult",
     "RunResult",
     "derive_seed",

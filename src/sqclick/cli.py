@@ -5,24 +5,24 @@ plain content so repeated runs with the same seed are byte-identical.
 """
 
 import argparse
-import math
 import sys
 
 from . import __version__
 from .ensemble import eta_sweep, state_sweep
 from .estimate import (
     EstimationError,
+    _mode_count,
     _mode_fit_table,
     invert_two_point,
     ml_estimate,
-    mode_count_fit,
 )
 from .gaussian import (
     SqueezerParams,
     UnphysicalStateError,
     check_physicality,
-    cov_from_squeezer,
     gain_bounds_from_trace,
+    squeezer_from_trace_det,
+    trace_det_from_squeezer,
     variances_from_invariants,
 )
 from .simulate import simulate_run, subtract_dark
@@ -54,12 +54,6 @@ _EPILOG = """exit codes:
 """
 
 
-def _squeezer_form(trace, det):
-    """Equivalent (g, h) parametrization of a physical (trace, det) pair."""
-    qv = variances_from_invariants(trace, det)
-    return math.sqrt(qv.vmax / qv.vmin), 0.5 * (math.sqrt(det) + 1.0)
-
-
 def _resolve_state(args):
     """State from --trace/--det or --g/--h; returns (trace, det, g, h)."""
     has_td = args.trace is not None and args.det is not None
@@ -67,13 +61,13 @@ def _resolve_state(args):
     if has_td == has_gh:
         raise ValueError("specify the state as either --trace/--det or --g/--h")
     if has_gh:
-        cov = cov_from_squeezer(SqueezerParams(g=args.g, h=args.h))
-        return cov.trace, cov.det, args.g, args.h
+        trace, det = trace_det_from_squeezer(SqueezerParams(g=args.g, h=args.h))
+        return trace, det, args.g, args.h
     if not check_physicality(args.trace, args.det):
         raise UnphysicalStateError(
             f"(trace, det) = ({args.trace}, {args.det}) is unphysical"
         )
-    g, h = _squeezer_form(args.trace, args.det)
+    g, h = squeezer_from_trace_det(args.trace, args.det)
     return args.trace, args.det, g, h
 
 
@@ -138,7 +132,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     records = read_click_records(args.data)
-    if args.dark_rate > 0.0:
+    if args.dark_rate != 0.0 or args.duration is not None:
         if args.duration is None:
             raise ValueError("--dark-rate requires --duration")
         records = [
@@ -160,7 +154,6 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     mapping = read_key_values(args.config)
     config = load_config(args.config)
-    n_runs = 1000 if args.full_scale else args.runs
     if args.mode == "eta":
         for key in ("state_trace", "state_det", "etas"):
             if key not in mapping:
@@ -173,7 +166,7 @@ def cmd_sweep(args) -> int:
             det_true,
             config,
             etas,
-            n_runs,
+            args.runs,
             with_uncertainties=not args.exact_knowledge,
             seed=args.seed,
         )
@@ -181,7 +174,7 @@ def cmd_sweep(args) -> int:
         if "states" not in mapping:
             raise ConfigError("state sweep config requires key 'states'")
         states = parse_states(mapping["states"])
-        results = state_sweep(states, config, n_runs, args.seed)
+        results = state_sweep(states, config, args.runs, args.seed)
     manifest = manifest_lines(
         "sweep",
         __version__,
@@ -189,7 +182,7 @@ def cmd_sweep(args) -> int:
         mode=args.mode,
         seed=args.seed,
         output=args.output,
-        runs=n_runs,
+        runs=args.runs,
         exact_knowledge=args.exact_knowledge,
     )
     if args.output:
@@ -205,12 +198,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_modefit(args) -> int:
     samples = read_mode_samples(args.data)
-    scale, rows = _mode_fit_table(samples, args.max_modes)
+    _, rows = _mode_fit_table(samples, args.max_modes)
     lines = []
     for _m, degree, rss, chi2_dof in rows:
         lines.append(f"degree_{degree}_rss = {fmt(rss)}")
         lines.append(f"degree_{degree}_chi2_per_dof = {fmt(chi2_dof)}")
-    n_modes = mode_count_fit(samples, args.max_modes)
+    n_modes = _mode_count(rows, args.max_modes)
     lines.append(f"n_modes = {n_modes}")
     if n_modes == 0:
         lines.append("signal = none")
@@ -267,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("eta", "state"), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=200, help="runs per sweep point")
-    p.add_argument(
-        "--full-scale", action="store_true", help="use 1000 runs per sweep point"
-    )
     p.add_argument(
         "--exact-knowledge",
         action="store_true",

@@ -77,11 +77,6 @@ def run_ensemble(
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     runs = []
-    sq_det = 0.0
-    sq_trace = 0.0
-    sum_det = 0.0
-    sum_trace = 0.0
-    n_reliable = 0
     for k in range(n_runs):
         records, t_true = _simulate_with_truth(
             trace_true, det_true, config, derive_seed(seed, 2 * k)
@@ -103,19 +98,14 @@ def run_ensemble(
                 log_likelihood_at_max=est.log_likelihood_at_max,
             )
         )
-        sq_det += (est.det - det_true) ** 2
-        sq_trace += (est.trace - trace_true) ** 2
-        sum_det += est.det
-        sum_trace += est.trace
-        n_reliable += est.det_reliable
     return EnsembleResult(
         eta=config.eta_apd,
-        sigma_det=math.sqrt(sq_det / n_runs),
-        sigma_trace=math.sqrt(sq_trace / n_runs),
-        mean_det_est=sum_det / n_runs,
-        mean_trace_est=sum_trace / n_runs,
+        sigma_det=math.sqrt(sum((r.det_est - det_true) ** 2 for r in runs) / n_runs),
+        sigma_trace=math.sqrt(sum((r.trace_est - trace_true) ** 2 for r in runs) / n_runs),
+        mean_det_est=sum(r.det_est for r in runs) / n_runs,
+        mean_trace_est=sum(r.trace_est for r in runs) / n_runs,
         n_runs=n_runs,
-        fraction_det_reliable=n_reliable / n_runs,
+        fraction_det_reliable=sum(r.det_reliable for r in runs) / n_runs,
         trace_true=trace_true,
         det_true=det_true,
         runs=tuple(runs),

@@ -28,7 +28,6 @@ from .gaussian import (
     UnphysicalStateError,
     _bs_gram_excess,
     check_physicality,
-    cov_from_squeezer,
     gain_bounds_from_trace,
     variances_from_invariants,
 )
@@ -81,7 +80,8 @@ class LikelihoodGrid:
 def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float, float]:
     """Exact inversion of two (effective transmittance, no-click probability) pairs.
 
-    Returns the raw (trace, det) solving the linear system; no physicality
+    Solves u = 4/P^2 - 4 = t^2*a + 2*t*b for a = det - trace + 1, b = trace - 2
+    and returns the raw (trace, det) = (2 + b, a + b + 1); no physicality
     clamping is applied, so noisy inputs may yield det < 1.  The t's must
     already include the detection efficiency.
     """
@@ -95,16 +95,10 @@ def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float,
         raise EstimationError(
             f"transmittances {t1} and {t2} too close to invert (|dt| < {DEGENERATE_T_TOL})"
         )
-    trace = (
-        2.0 / (t2 - t1) * (t2 / (t1 * p1 * p1) - t1 / (t2 * p2 * p2))
-        + 2.0
-        - 2.0 / t1
-        - 2.0 / t2
-    )
-    det = 2.0 / (t1 - t2) * (
-        (2.0 - t2) / (t1 * p1 * p1) - (2.0 - t1) / (t2 * p2 * p2)
-    ) + (2.0 - t1) * (2.0 - t2) / (t1 * t2)
-    return trace, det
+    eff, p = np.array([t1, t2]), np.array([p1, p2])
+    u = 4.0 * (1.0 - p) * (1.0 + p) / (p * p)
+    a, b = np.linalg.solve(np.stack([eff * eff, 2.0 * eff], axis=1), u)
+    return float(2.0 + b), float(a + b + 1.0)
 
 
 def sensitivity(p1: float, eta: float) -> tuple[float, float]:
@@ -413,16 +407,8 @@ def _mode_fit_table(samples, max_modes):
     return scale, rows
 
 
-def mode_count_fit(samples: list, max_modes: int) -> int:
-    """Smallest number of Gaussian modes consistent with P(eff_t) samples.
-
-    For N modes, 1/P^2 is a polynomial of degree 2N in the effective
-    transmittance with value 1 at zero; the fit therefore models
-    4/p^2 - 4 without a constant term and returns the smallest N whose
-    chi^2 per degree of freedom is below 2.  Identically-vacuum samples
-    (p = 1 everywhere) return 0: no signal to fit.
-    """
-    scale, rows = _mode_fit_table(samples, max_modes)
+def _mode_count(rows, max_modes):
+    """Smallest mode count among _mode_fit_table rows with chi^2/dof < 2; 0 without rows."""
     if not rows:
         return 0
     for m, _deg, _rss, chi2_dof in rows:
@@ -434,7 +420,13 @@ def mode_count_fit(samples: list, max_modes: int) -> int:
     )
 
 
-def trace_det_from_squeezer(params: SqueezerParams) -> tuple[float, float]:
-    """Invariants of the state generated by the given amplifier gains."""
-    cov = cov_from_squeezer(params)
-    return cov.trace, cov.det
+def mode_count_fit(samples: list, max_modes: int) -> int:
+    """Smallest number of Gaussian modes consistent with P(eff_t) samples.
+
+    For N modes, 1/P^2 is a polynomial of degree 2N in the effective
+    transmittance with value 1 at zero; the fit therefore models
+    4/p^2 - 4 without a constant term and returns the smallest N whose
+    chi^2 per degree of freedom is below 2.  Identically-vacuum samples
+    (p = 1 everywhere) return 0: no signal to fit.
+    """
+    return _mode_count(_mode_fit_table(samples, max_modes)[1], max_modes)

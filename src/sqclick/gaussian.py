@@ -102,6 +102,23 @@ def cov_from_squeezer(params: SqueezerParams) -> CovarianceMatrix:
     return CovarianceMatrix(vxx=scale / params.g, vpp=scale * params.g, vxp=0.0)
 
 
+def trace_det_from_squeezer(params: SqueezerParams) -> tuple[float, float]:
+    """Invariants of the state generated by the given amplifier gains."""
+    cov = cov_from_squeezer(params)
+    return cov.trace, cov.det
+
+
+def squeezer_from_trace_det(trace: float, det: float) -> tuple[float, float]:
+    """Gains (g, h) generating a physical (trace, det); inverse of trace_det_from_squeezer.
+
+    g = sqrt(vmax/vmin) and 2h - 1 = sqrt(det).  Returned as a plain pair:
+    on the thermal edge det = (trace/2)^2 rounding can put g an ulp below 1,
+    which SqueezerParams would reject.
+    """
+    qv = variances_from_invariants(trace, det)
+    return math.sqrt(qv.vmax / qv.vmin), 0.5 * (math.sqrt(det) + 1.0)
+
+
 def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
     """Recover (vmin, vmax) from the two invariants of the covariance matrix.
 

@@ -10,7 +10,6 @@ relative error (``perturbed_eta``).  Dark counts are an independent
 Poisson stream.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,6 @@ from .gaussian import (
     check_physicality,
     click_probability_from_invariants,
 )
-
-# Above this binomial variance the count draw switches to a rounded normal
-# with matching mean and variance; below it the exact binomial is used so
-# the rare-click regime stays exact.
-NORMAL_APPROX_THRESHOLD = 100.0
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,17 +76,10 @@ class ClickRecord:
     dark_subtracted: bool = False
 
     def __post_init__(self):
+        if not 0.0 <= self.t_nominal <= 1.0:
+            raise ValueError(f"t_nominal = {self.t_nominal} outside [0, 1]")
         if not 0 <= self.clicks <= self.trials:
             raise ValueError(f"clicks = {self.clicks} outside [0, trials = {self.trials}]")
-
-
-def _sample_clicks(rng: np.random.Generator, n: int, q: float) -> int:
-    """Binomial(n, q) draw, normal-approximated when the variance is large."""
-    var = n * q * (1.0 - q)
-    if var > NORMAL_APPROX_THRESHOLD:
-        c = int(round(rng.normal(n * q, math.sqrt(var))))
-        return min(max(c, 0), n)
-    return int(rng.binomial(n, q))
 
 
 def _simulate_with_truth(trace, det, config, seed):
@@ -110,7 +96,7 @@ def _simulate_with_truth(trace, det, config, seed):
         else:
             t_true = t_nom
         q = click_probability_from_invariants(trace, det, config.eta_apd * t_true)
-        clicks = _sample_clicks(rng, n, q)
+        clicks = int(rng.binomial(n, q))
         if config.dark_rate > 0.0:
             dark = int(rng.poisson(config.dark_rate * config.duration))
             clicks = min(clicks + dark, n)
@@ -141,6 +127,10 @@ def expected_click_rate(params: SqueezerParams, eta: float, rep_rate: float) -> 
 
 def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> ClickRecord:
     """Remove the expected dark-count total, flooring at zero clicks."""
+    if not (dark_rate >= 0.0 and duration > 0.0):
+        raise ValueError(
+            f"dark_rate = {dark_rate} must be >= 0 and duration = {duration} > 0"
+        )
     if record.dark_subtracted:
         raise ValueError("dark counts already subtracted from this record")
     expected_dark = int(round(dark_rate * duration))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sqclick import no_click_from_invariants
+from sqclick import cli, estimate, no_click_from_invariants
 from sqclick.cli import main
 
 TRACE0, DET0 = 2.321, 1.156
@@ -170,6 +170,15 @@ class TestSimulate:
         ) == 0
         assert strip_created(path.read_text()) == first
 
+    def test_thermal_edge_state_is_accepted(self, base_config, tmp_path):
+        # det = (trace/2)^2: g = 1 exactly in theory, an ulp either side in floating point
+        path = tmp_path / "thermal.csv"
+        assert main(
+            ["simulate", "--config", base_config, "--trace", "2.4", "--det", "1.44",
+             "--seed", "3", "--output", str(path)]
+        ) == 0
+        assert "# state_g = 1\n" in path.read_text()
+
     def test_unphysical_state_exit_code(self, base_config):
         assert main(
             ["simulate", "--config", base_config, "--trace", "2", "--det", "1.5", "--seed", "1"]
@@ -247,6 +256,37 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("sqclick: error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t", ["1.5", "nan"])
+    def test_transmittance_outside_unit_interval_exit_code(self, tmp_path, capsys, t):
+        data = tmp_path / "clicks.csv"
+        data.write_text(
+            f"t_nominal,trials,clicks,dark_subtracted\n{t},100000,300,0\n0.5,100000,100,0\n"
+        )
+        assert main(["estimate", "--data", str(data), "--eta", "0.9"]) == 2
+        assert "t_nominal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dark",
+        [
+            ["--dark-rate", "300", "--duration", "-100"],
+            ["--dark-rate", "300", "--duration", "0"],
+            ["--dark-rate", "-300", "--duration", "100"],
+            ["--dark-rate", "-300"],
+            ["--duration", "-100"],
+        ],
+        ids=[
+            "negative-duration",
+            "zero-duration",
+            "negative-rate",
+            "negative-rate-no-duration",
+            "negative-duration-no-rate",
+        ],
+    )
+    def test_bad_dark_count_arguments_exit_code(self, base_config, tmp_path, capsys, dark):
+        data = self._simulate(base_config, tmp_path)
+        assert main(["estimate", "--data", str(data), "--eta", "0.5"] + dark) == 3
+        assert capsys.readouterr().out == ""
 
     def test_roundtrip_file_format(self, base_config, tmp_path):
         # estimate consumes exactly what simulate emits, file to file
@@ -350,6 +390,19 @@ class TestModefit:
         rec = record_dict(capsys.readouterr().out)
         assert rec["n_modes"] == "2"
         assert float(rec["degree_4_rss"]) < 1e-15
+
+    def test_fit_table_built_once(self, tmp_path, monkeypatch):
+        original = estimate._mode_fit_table
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(estimate, "_mode_fit_table", counted)
+        monkeypatch.setattr(cli, "_mode_fit_table", counted)
+        assert main(["modefit", "--data", self._write_samples(tmp_path), "--max-modes", "3"]) == 0
+        assert len(calls) == 1
 
     def test_vacuum_reports_no_signal(self, tmp_path, capsys):
         path = tmp_path / "vac.csv"

@@ -20,6 +20,8 @@ from sqclick import (
     purity,
     purity_from_h,
     q_function,
+    squeezer_from_trace_det,
+    trace_det_from_squeezer,
     variances_from_invariants,
 )
 
@@ -317,6 +319,14 @@ def test_roundtrip_at_gain_boundary():
     qv = variances_from_invariants(cov.trace, cov.det)
     assert abs(qv.vmin - 4.0) < 1e-10
     assert abs(qv.vmax - 4.0) < 1e-10
+
+
+@pytest.mark.parametrize("g", [1.0, 1.25, 2.0, 5.0])
+@pytest.mark.parametrize("h", [1.0, 1.08, 3.0])
+def test_squeezer_trace_det_pair_roundtrip(g, h):
+    g_back, h_back = squeezer_from_trace_det(*trace_det_from_squeezer(SqueezerParams(g, h)))
+    assert g_back == pytest.approx(g, rel=1e-12)
+    assert h_back == pytest.approx(h, rel=1e-12)
 
 
 @given(g=st.floats(min_value=1.0, max_value=5.0), h=gains_h)

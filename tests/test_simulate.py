@@ -15,7 +15,6 @@ from sqclick import (
     subtract_dark,
     trace_det_from_squeezer,
 )
-from sqclick.simulate import NORMAL_APPROX_THRESHOLD, _sample_clicks
 
 TRACE0, DET0 = 2.321, 1.156
 
@@ -60,6 +59,11 @@ class TestConfig:
             ClickRecord(t_nominal=0.5, trials=10, clicks=11)
         with pytest.raises(ValueError):
             ClickRecord(t_nominal=0.5, trials=10, clicks=-1)
+
+    @pytest.mark.parametrize("t", [1.5, -0.1, math.nan])
+    def test_click_record_transmittance_outside_unit_interval(self, t):
+        with pytest.raises(ValueError, match="t_nominal"):
+            ClickRecord(t_nominal=t, trials=10, clicks=1)
 
 
 class TestSimulateRun:
@@ -121,6 +125,7 @@ class TestSimulateRun:
         assert np.mean(hi_eta) > np.mean(hi)
 
     def test_statistical_soundness_across_settings(self):
+        # binomial variances n*q*(1-q) from ~250 at T = 1 down to ~74 at T = 0.25
         cfg = ExperimentConfig(
             rep_rate=780400.0,
             duration=0.01,
@@ -128,39 +133,20 @@ class TestSimulateRun:
             eta_apd=0.5,
         )
         n = cfg.n_trials
-        sums = np.zeros(4)
         n_seeds = 1000
-        for seed in range(n_seeds):
-            for j, rec in enumerate(simulate_run(TRACE0, DET0, cfg, seed)):
-                sums[j] += rec.clicks
+        clicks = np.array(
+            [
+                [rec.clicks for rec in simulate_run(TRACE0, DET0, cfg, seed)]
+                for seed in range(n_seeds)
+            ]
+        )
         for j, t in enumerate(cfg.transmittances):
             q = click_probability_from_invariants(TRACE0, DET0, 0.5 * t)
             se = math.sqrt(q * (1.0 - q) / (n * n_seeds))
-            assert abs(sums[j] / (n * n_seeds) - q) < 5.0 * se
-
-
-class TestSampleClicks:
-    def test_normal_branch_moments(self):
-        # variance just above the switch-over point
-        n, q = 5000, 0.0205
-        assert n * q * (1.0 - q) > NORMAL_APPROX_THRESHOLD
-        rng = np.random.default_rng(2024)
-        draws = np.array([_sample_clicks(rng, n, q) for _ in range(100_000)])
-        assert abs(draws.mean() - n * q) / (n * q) < 0.01
-        assert abs(draws.var() - n * q * (1.0 - q)) / (n * q * (1.0 - q)) < 0.01
-
-    def test_exact_branch_moments(self):
-        n, q = 2000, 0.02  # variance ~39, below the switch-over
-        assert n * q * (1.0 - q) < NORMAL_APPROX_THRESHOLD
-        rng = np.random.default_rng(7)
-        draws = np.array([_sample_clicks(rng, n, q) for _ in range(100_000)])
-        assert abs(draws.mean() - n * q) / (n * q) < 0.01
-        assert abs(draws.var() - n * q * (1.0 - q)) / (n * q * (1.0 - q)) < 0.02
-
-    def test_edge_probabilities(self):
-        rng = np.random.default_rng(0)
-        assert _sample_clicks(rng, 100, 0.0) == 0
-        assert _sample_clicks(rng, 100, 1.0) == 100
+            assert abs(clicks[:, j].mean() / n - q) < 5.0 * se
+            var = n * q * (1.0 - q)
+            # relative standard error of a sample variance is ~sqrt(2/(N-1))
+            assert abs(clicks[:, j].var(ddof=1) / var - 1.0) < 5.0 * math.sqrt(2.0 / (n_seeds - 1))
 
 
 class TestExpectedClickRate:
@@ -199,6 +185,14 @@ class TestSubtractDark:
     def test_zero_rate_is_identity(self):
         rec = ClickRecord(t_nominal=1.0, trials=10_000_000, clicks=2000)
         assert subtract_dark(rec, 0.0, 100.0).clicks == 2000
+
+    @pytest.mark.parametrize(
+        "dark_rate, duration", [(-20.0, 100.0), (20.0, 0.0), (20.0, -100.0), (math.nan, 100.0)]
+    )
+    def test_bad_rate_or_duration_rejected(self, dark_rate, duration):
+        rec = ClickRecord(t_nominal=1.0, trials=10_000_000, clicks=5000)
+        with pytest.raises(ValueError):
+            subtract_dark(rec, dark_rate, duration)
 
     def test_double_subtraction_rejected(self):
         rec = ClickRecord(t_nominal=1.0, trials=10_000, clicks=500, dark_subtracted=True)

@@ -122,6 +122,13 @@ class TestClickTables:
         with pytest.raises(ConfigError):
             read_click_records(path)
 
+    @pytest.mark.parametrize("t", ["1.5", "-0.25", "nan"])
+    def test_transmittance_outside_unit_interval_rejected(self, tmp_path, t):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t_nominal,trials,clicks,dark_subtracted\n1,100,3,0\n{t},100,2,0\n")
+        with pytest.raises(ConfigError, match=r"bad\.csv:3: t_nominal"):
+            read_click_records(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing here\n")
