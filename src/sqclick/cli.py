@@ -198,7 +198,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_modefit(args) -> int:
     samples = read_mode_samples(args.data)
-    _, rows = _mode_fit_table(samples, args.max_modes)
+    rows = _mode_fit_table(samples, args.max_modes)
     lines = []
     for _m, degree, rss, chi2_dof in rows:
         lines.append(f"degree_{degree}_rss = {fmt(rss)}")

@@ -16,7 +16,7 @@ therefore identical no matter how runs are scheduled.
 import math
 from dataclasses import dataclass, replace
 
-from .estimate import ml_estimate
+from .estimate import _ml_solve, ml_estimate  # noqa: F401  (ml_estimate: bench/ patches it here)
 from .simulate import ExperimentConfig, perturbed_eta, subtract_dark, _simulate_with_truth
 
 _MASK64 = (1 << 64) - 1
@@ -72,11 +72,13 @@ def run_ensemble(
     Each run draws fresh true transmittances, fresh click statistics, and
     a fresh efficiency value as known to the estimator; expected dark
     counts are subtracted before estimation when the config has a dark
-    rate.  Returns RMS deviations from (trace_true, det_true).
+    rate.  All runs are then solved in one batch, each bit-identical to
+    ``ml_estimate`` on its own records.  Returns RMS deviations from
+    (trace_true, det_true).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    runs = []
+    acquisitions, t_trues, etas = [], [], []
     for k in range(n_runs):
         records, t_true = _simulate_with_truth(
             trace_true, det_true, config, derive_seed(seed, 2 * k)
@@ -85,19 +87,15 @@ def run_ensemble(
             records = [
                 subtract_dark(r, config.dark_rate, config.duration) for r in records
             ]
-        eta_assumed = perturbed_eta(config, derive_seed(seed, 2 * k + 1))
-        est = ml_estimate(records, eta_assumed)
-        runs.append(
-            RunResult(
-                index=k,
-                trace_est=est.trace,
-                det_est=est.det,
-                det_reliable=est.det_reliable,
-                eta_assumed=eta_assumed,
-                t_true=t_true,
-                log_likelihood_at_max=est.log_likelihood_at_max,
-            )
-        )
+        acquisitions.append(records)
+        t_trues.append(t_true)
+        etas.append(perturbed_eta(config, derive_seed(seed, 2 * k + 1)))
+    solved = (x.tolist() for x in _ml_solve(acquisitions, etas))
+    runs = [
+        RunResult(k, trace, det, reliable, eta_assumed, t_true, log_l)
+        for k, (trace, det, reliable, log_l, eta_assumed, t_true)
+        in enumerate(zip(*solved, etas, t_trues))
+    ]
     return EnsembleResult(
         eta=config.eta_apd,
         sigma_det=math.sqrt(sum((r.det_est - det_true) ** 2 for r in runs) / n_runs),

@@ -9,7 +9,10 @@ setting through a binomial likelihood maximized exactly over the physical
 region 1 <= det <= (trace/2)^2: in a = det - trace + 1, b = trace - 2 each
 4/P^2 - 4 is linear, Newton's method finds the interior, pure-edge and
 thermal-edge maxima, the best wins (exact ties go to the smaller det), and
-det is flagged unreliable when the likelihood is flat along it.
+det is flagged unreliable when the likelihood is flat along it.  The solver
+works on (R, S) blocks, R runs by S settings, and solves every row on its
+own: ``run_ensemble`` hands it all its runs at once and gets, bit for bit,
+what ``ml_estimate``, the same solver at R = 1, gives each run alone.
 
 The module also carries the reference estimators (classical gain ratios,
 loss-corrected homodyne variances), the efficiency calibration from
@@ -42,6 +45,11 @@ DEGENERATE_T_TOL = 1e-6
 # fluctuations alone, while informative data sit orders of magnitude
 # higher (tens of nats upward), so 3 nats splits the regimes cleanly.
 FLATNESS_NATS = 3.0
+
+# The det-reliability slice: 401 fractions of the admissible det interval,
+# evaluated for _SLICE_BLOCK runs at a time so that memory stays bounded.
+_SLICE = np.linspace(0.0, 1.0, 401)
+_SLICE_BLOCK = 32
 
 
 class EstimationError(ValueError):
@@ -117,39 +125,40 @@ def sensitivity(p1: float, eta: float) -> tuple[float, float]:
     return 4.0 / (eta * p3), -16.0 / (eta * eta * p3)
 
 
-def _setting_arrays(data, eta_assumed):
-    """(effective transmittance, trials, clicks) arrays, one entry per record."""
-    eff = np.array([eta_assumed * r.t_nominal for r in data], dtype=float)
-    ns = np.array([r.trials for r in data], dtype=float)
-    cs = np.array([r.clicks for r in data], dtype=float)
+def _setting_arrays(runs, etas):
+    """(R, S) effective transmittance, trials and clicks: one row per run, settings last."""
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"eta_assumed = {eta} outside (0, 1]")
+    eff = np.array([[eta * r.t_nominal for r in data] for data, eta in zip(runs, etas)], float)
+    ns = np.array([[r.trials for r in data] for data in runs], float)
+    cs = np.array([[r.clicks for r in data] for data in runs], float)
     return eff, ns, cs
 
 
-def _setting_loglike(u, n, c, derivatives=False):
+def _setting_loglike(u, n, c, slopes=False):
     """Per-setting binomial log-likelihood as a function of the excess u >= 0.
 
     With s = sqrt(4 + u), P = 2/s = (1 + u/4)^(-1/2) and 1 - P = u/(s(s + 2)),
     so l = (n - c)*ln(P) + c*ln(1 - P) = -n*ln(1 + u/4)/2 + c*ln(u/(2s + 4)),
     accurate even when clicks are parts-per-million; u = 0 with clicks
-    gives -inf.  With ``derivatives`` also returns dl/du and d2l/du2.
+    gives -inf (callers silence numpy's divide and invalid warnings).  With
+    ``slopes`` returns dl/du and d2l/du2 instead, finite at u = 0 when c = 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(4.0 + u)
+    s = np.sqrt(4.0 + u)
+    if not slopes:
         click_term = np.where(c > 0, c * np.log(u / (2.0 * s + 4.0)), 0.0)
-        value = -0.5 * n * np.log1p(0.25 * u) + click_term
-        if not derivatives:
-            return value
-        w = np.where(c > 0, c * (s + 2.0) / (s * u), 0.0)  # = c/(s(s - 2))
-        d1 = 0.5 * (w - n / (s * s))
-        d2 = 0.5 * (n / s**4 - w * (s - 1.0) * (s + 2.0) / (s * s * u))
-    return value, d1, d2
+        return -0.5 * n * np.log1p(0.25 * u) + click_term
+    r = np.where(c > 0, (s + 2.0) / (s * u), 0.0)  # = 1/(s(s - 2))
+    w, s2 = c * r, s * s
+    return 0.5 * (w - n / s2), 0.5 * (n / (s2 * s2) - w * (s - 1.0) * r / s)
 
 
-def _loglike_arrays(trace, det, eff_ts, trials, clicks):
-    """Log-likelihood summed over settings, broadcasting over physical (trace, det)."""
-    column = (-1,) + (1,) * np.broadcast(trace, det).ndim  # settings on the leading axis
-    eff, n, c = (np.reshape(x, column) for x in (eff_ts, trials, clicks))
-    return _setting_loglike(np.maximum(_bs_gram_excess(trace, det, eff), 0.0), n, c).sum(axis=0)
+@np.errstate(divide="ignore", invalid="ignore")
+def _loglike(trace, det, eff, n, c):
+    """Log-likelihood summed over settings, the last axis; trace and det broadcast
+    against eff, n and c, so they carry a trailing length-1 axis when not scalar."""
+    return _setting_loglike(np.maximum(_bs_gram_excess(trace, det, eff), 0.0), n, c).sum(-1)
 
 
 def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> float:
@@ -162,11 +171,10 @@ def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> 
     """
     if not data:
         raise EstimationError("no click records supplied")
-    if not 0.0 < eta_assumed <= 1.0:
-        raise ValueError(f"eta_assumed = {eta_assumed} outside (0, 1]")
+    eff, ns, cs = _setting_arrays([data], [eta_assumed])
     if not check_physicality(trace, det):
         raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
-    return float(_loglike_arrays(trace, det, *_setting_arrays(data, eta_assumed)))
+    return float(_loglike(trace, det, eff, ns, cs)[0])
 
 
 def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> LikelihoodGrid:
@@ -180,26 +188,9 @@ def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> LikelihoodGrid:
     tr = trace_axis[:, None]
     dt = det_axis[None, :]
     excluded = (dt > 0.25 * tr * tr + PHYS_TOL) | (dt < 1.0 - PHYS_TOL)
-    log_l = _loglike_arrays(tr, dt, *_setting_arrays(data, eta_assumed))
+    log_l = _loglike(tr[..., None], dt[..., None], *_setting_arrays([data], [eta_assumed]))
     log_l = np.where(excluded, -np.inf, log_l)
     return LikelihoodGrid(trace_axis, det_axis, log_l, excluded)
-
-
-def _det_slice_spread(data, eta_assumed, trace_hat, n_det=401):
-    """Log-likelihood range along det at the optimal trace.
-
-    Evaluated over the admissible interval [1, (trace_hat/2)^2]; a small
-    spread means every allowed determinant explains the data about
-    equally well, i.e. the maximizer along det is arbitrary.  Returns
-    +inf when the interval is effectively a point (det pinned by the
-    constraints themselves).
-    """
-    det_hi = 0.25 * trace_hat * trace_hat
-    if det_hi - 1.0 < 1e-9:
-        return float("inf")
-    det_axis = np.linspace(1.0, det_hi, n_det)
-    ll = _loglike_arrays(trace_hat, det_axis, *_setting_arrays(data, eta_assumed))
-    return float(ll.max() - ll.min())
 
 
 def _finish_estimate(trace, det, det_reliable, log_l) -> Estimate:
@@ -218,40 +209,137 @@ def _finish_estimate(trace, det, det_reliable, log_l) -> Estimate:
     )
 
 
-def _edge_max(edge, b, jac, ns, cs):
-    """Newton maximizer in b > 0 along an edge given by edge(b) = (a, da/db, d2a/db2),
+def _solve2(h11, h12, h22, g1, g2):
+    """Solution of the symmetric 2x2 systems [[h11, h12], [h12, h22]] x = g, row by row."""
+    d = h11 * h22 - h12 * h12
+    return (h22 * g1 - h12 * g2) / d, (h11 * g2 - h12 * g1) / d
+
+
+def _edge_max(b, kappa, lam, e2, e1, ns, cs):
+    """Newton maximizer in b > 0 along the edge a = kappa*b^2 + lam*b of each row,
     kept inside a bracket on the sign of the slope, which is +inf at b = 0."""
-    lo, hi = 0.0, math.inf
+    lo, hi, done = np.zeros_like(b), np.full_like(b, np.inf), np.zeros(b.size, dtype=bool)
+    two_kappa = 2.0 * kappa
     for _ in range(400):
-        a, da, d2a = edge(b)
-        _, d1, d2 = _setting_loglike(jac @ (a, b), ns, cs, derivatives=True)
-        du = jac @ (da, 1.0)
-        g, h = d1 @ du, d2 @ (du * du) + d2a * (d1 @ jac[:, 0])
-        lo, hi = (b, hi) if g > 0.0 else (lo, b)
-        step = -g / h if h < 0.0 else math.inf
-        if abs(step) <= 4e-16 * b or hi - lo <= 4e-16 * b:
+        u = e2 * ((kappa * b + lam) * b)[:, None] + e1 * b[:, None]
+        d1, d2 = _setting_loglike(u, ns, cs, slopes=True)
+        du = e2 * (two_kappa * b + lam)[:, None] + e1
+        g = (d1 * du).sum(-1)
+        h = (d2 * du * du).sum(-1) + two_kappa * (d1 * e2).sum(-1)
+        up = g > 0.0
+        lo, hi = np.where(up, b, lo), np.where(up, hi, b)
+        step = np.where(h < 0.0, -g / h, np.inf)
+        new = b + step
+        new = np.where((lo < new) & (new < hi), new, np.minimum(0.5 * (lo + hi), 2.0 * b))
+        done |= np.fmin(np.abs(step), hi - lo) <= 4e-16 * b
+        b = np.where(done, b, new)  # finished rows keep their b
+        if done.all():
             break
-        b = b + step if lo < b + step < hi else min(0.5 * (lo + hi), 2.0 * b)
     return b
 
 
-def _interior_max(x, jac, ns, cs):
-    """Damped Newton ascent in x = (a, b) where every u > 0; each setting enters
-    the Hessian as -|d2l/du2|, so every step is an ascent direction."""
+def _interior_max(a, b, e2, e1, ns, cs):
+    """Damped Newton ascent in (a, b) of each row where every informative u > 0.
+
+    Each setting enters the Hessian as -|d2l/du2|, so every step is an ascent
+    direction.  A row stops for good once the predicted gain grad.step is down
+    to the rounding of its log-likelihood, or when 40 halvings of the step
+    never raise the log-likelihood.
+    """
+    floor = np.where(e1 > 0.0, 0.0, -1.0)  # u > floor: u > 0 wherever the setting counts
+    e22, e21, e11 = e2 * e2, e2 * e1, e1 * e1
+    u = e2 * a[:, None] + e1 * b[:, None]
+    value = _setting_loglike(u, ns, cs).sum(-1)
+    moving = np.ones(a.size, dtype=bool)
     for _ in range(100):
-        value, d1, d2 = _setting_loglike(jac @ x, ns, cs, derivatives=True)
-        grad = jac.T @ d1
-        step = np.linalg.lstsq((jac.T * np.abs(d2)) @ jac, grad, rcond=None)[0]
-        if not grad @ step > 1e-10:
-            break
-        for k in range(40):  # halve the step until the log-likelihood rises
-            u = jac @ (x + 0.5**k * step)
-            if np.all(u > 0.0) and _setting_loglike(u, ns, cs).sum() > value.sum():
+        d1, d2 = _setting_loglike(u, ns, cs, slopes=True)
+        d2 = np.abs(d2)
+        ga, gb = (e2 * d1).sum(-1), (e1 * d1).sum(-1)
+        sa, sb = _solve2((e22 * d2).sum(-1), (e21 * d2).sum(-1), (e11 * d2).sum(-1), ga, gb)
+        pending = moving & (ga * sa + gb * sb > 1e-10 + 1e-15 * np.abs(value))
+        moving = np.zeros(a.size, dtype=bool)
+        for k in range(40):  # halve each pending step until the log-likelihood rises
+            if not pending.any():
                 break
-        else:
+            ta, tb = a + 0.5**k * sa, b + 0.5**k * sb
+            ut = e2 * ta[:, None] + e1 * tb[:, None]
+            trial = _setting_loglike(ut, ns, cs).sum(-1)
+            ok = pending & (ut > floor).all(-1) & (trial > value)
+            a, b, value = np.where(ok, ta, a), np.where(ok, tb, b), np.where(ok, trial, value)
+            u = np.where(ok[:, None], ut, u)
+            moving, pending = moving | ok, pending & ~ok
+        if not moving.any():
             break
-        x = x + 0.5**k * step
-    return x
+    return a, b
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _ml_solve(runs, etas):
+    """Maximum-likelihood (trace, det, det_reliable, log-likelihood) arrays for R runs.
+
+    runs are R lists of S click records and etas their assumed efficiencies.
+    Every row of the (R, S) block is solved on its own: converged rows are
+    frozen by masks, every sum runs over the last (settings) axis and no
+    matrix product is used, so a run gets the same bits in any batch as
+    alone.  See ml_estimate for the method and the errors.
+    """
+    eff, ns, cs = _setting_arrays(runs, etas)
+    lo = np.min(np.where(eff > 0.0, eff, np.inf), axis=-1, initial=np.inf)
+    clicked = cs.sum(-1) > 0
+    checks = (
+        ((ns == 0).any(-1), "a setting has zero trials"),
+        (((eff == 0.0) & (cs > 0)).any(-1),
+         "clicks recorded at zero transmittance, where P(click) = 0"),
+        (~(lo < np.max(eff, axis=-1, initial=0.0)),
+         "need at least two distinct nonzero transmittances"),
+        (((cs == ns) | (eff == 0.0)).all(-1) & clicked,
+         "every setting always clicked: no finite likelihood maximum"),
+    )
+    failed = np.array([f for f, _ in checks])
+    if failed.any():  # the first failing run, with its first failing check
+        raise EstimationError(checks[int(failed[:, failed.any(0).argmax()].argmax())][1])
+
+    # Zero clicks anywhere: the data are certain only for the vacuum.
+    trace, det, log_l = np.full(len(runs), 2.0), np.ones(len(runs)), np.zeros(len(runs))
+    reliable = np.ones(len(runs), dtype=bool)
+    live = np.flatnonzero(clicked)
+    eff, ns, cs = eff[live], ns[live], cs[live]
+    e2, e1 = eff * eff, 2.0 * eff  # du/da, du/db
+
+    q = (cs + 0.5) / (ns + 1.0)  # half a count keeps p_hat = 1 - q inside (0, 1)
+    w = ns * (1.0 - q) ** 5 / q  # 1/variance of u_hat by the delta method
+    u_hat = 4.0 * q * (2.0 - q) / (1.0 - q) ** 2  # 4/p_hat^2 - 4 without cancellation
+    we2, we1 = w * e2, w * e1
+    a, b = _solve2(*(x.sum(-1) for x in (we2 * e2, we2 * e1, we1 * e1, we2 * u_hat, we1 * u_hat)))
+    b = np.where(b > 0.0, b, 1.0)
+    # One Newton loop for the pure edge a = -b (det = 1) and the thermal edge
+    # a = b^2/4 (det = (trace/2)^2): 2 rows per run.
+    b_pure, b_thermal = _edge_max(np.tile(b, 2), np.repeat([0.0, 0.25], live.size),
+                                  np.repeat([-1.0, 0.0], live.size),
+                                  *(np.tile(x, (2, 1)) for x in (e2, e1, ns, cs))).reshape(2, -1)
+    a, b = _interior_max(np.minimum(np.maximum(a, -b), 0.25 * b * b), b, e2, e1, ns, cs)
+    cand_t = 2.0 + np.stack([b_pure, b_thermal, b], axis=-1)
+    cand_d = np.stack([np.ones(live.size), 0.25 * cand_t[:, 1] * cand_t[:, 1],
+                       np.minimum(a + b + 1.0, 0.25 * cand_t[:, 2] * cand_t[:, 2])], axis=-1)
+    scores = _loglike(cand_t[..., None], cand_d[..., None], eff[:, None], ns[:, None], cs[:, None])
+    scores[:, 2] = np.where((b > 0.0) & (-b < a) & (a < 0.25 * b * b), scores[:, 2], -np.inf)
+    # The most likely candidate; exact ties go to the smaller det, then the smaller trace.
+    pick = np.arange(live.size), np.lexsort((cand_t, cand_d, -scores), axis=-1)[:, 0]
+    best = cand_t[pick]
+    trace[live], det[live], log_l[live] = best, cand_d[pick], scores[pick]
+
+    # det is unreliable when the log-likelihood barely moves along the admissible
+    # det interval at the optimal trace.  There u rises linearly from
+    # (trace - 2)(e1 - e2) at det = 1; blocks of runs bound the slice's memory.
+    det_span = 0.25 * best * best - 1.0
+    u_lo, u_rise = (best - 2.0)[:, None] * (e1 - e2), e2 * det_span[:, None]
+    wide = np.flatnonzero(det_span >= 1e-9)  # else det is pinned by the constraints
+    for start in range(0, wide.size, _SLICE_BLOCK):
+        i = wide[start:start + _SLICE_BLOCK]
+        u = u_lo[i, None] + u_rise[i, None] * _SLICE[:, None]
+        ll = _setting_loglike(u, ns[i, None], cs[i, None]).sum(-1)
+        reliable[live[i]] = ll.max(-1) - ll.min(-1) >= FLATNESS_NATS
+    return trace, det, reliable, log_l
 
 
 def ml_estimate(data: list, eta_assumed: float) -> Estimate:
@@ -260,10 +348,13 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     In a = det - trace + 1, b = trace - 2 each setting's u = 4/P^2 - 4 =
     t^2*a + 2*t*b is linear; the physical region is b >= 0, -b <= a <= b^2/4.
     Candidates: damped 2-D Newton from a weighted least-squares fit to
-    u_hat = 4/p_hat^2 - 4, if it ends inside; 1-D Newton on the pure edge
-    det = 1 and the thermal edge det = (trace/2)^2 (det set exactly); the
-    vacuum corner when there are no clicks.  The most likely wins; exact
-    ties prefer the smaller det (the more conservative, closer-to-pure claim).
+    u_hat = 4/p_hat^2 - 4, stopped once its predicted gain is down to the
+    rounding of the log-likelihood and kept if it ends inside; 1-D Newton
+    on the pure edge det = 1 (a = -b) and the thermal edge det = (trace/2)^2
+    (a = b^2/4), one loop over a = kappa*b^2 + lambda*b for both, det set
+    exactly; the vacuum corner when there are no clicks.  The most likely
+    wins; exact ties prefer the smaller det (the more conservative,
+    closer-to-pure claim).  This is the batched solver at R = 1.
 
     det_reliable is False when, at the optimal trace, the log-likelihood
     varies by less than FLATNESS_NATS across the whole admissible det
@@ -271,38 +362,8 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     two distinct nonzero transmittances, clicks at zero transmittance, or
     clicks == trials at every setting (no finite maximum).
     """
-    if not 0.0 < eta_assumed <= 1.0:
-        raise ValueError(f"eta_assumed = {eta_assumed} outside (0, 1]")
-    eff, ns, cs = _setting_arrays(data, eta_assumed)
-    if np.any(ns == 0):
-        raise EstimationError("a setting has zero trials")
-    if np.any(cs[eff == 0.0] > 0):
-        raise EstimationError("clicks recorded at zero transmittance, where P(click) = 0")
-    eff, ns, cs = eff[eff > 0.0], ns[eff > 0.0], cs[eff > 0.0]  # t = 0 is uninformative
-    if np.unique(eff).size < 2:
-        raise EstimationError("need at least two distinct nonzero transmittances")
-    if cs.sum() == 0:
-        # Zero clicks anywhere: the data are certain only for the vacuum.
-        return _finish_estimate(2.0, 1.0, True, 0.0)
-    if np.all(cs == ns):
-        raise EstimationError("every setting always clicked: no finite likelihood maximum")
-
-    jac = np.stack([eff * eff, 2.0 * eff], axis=1)  # du/d(a, b)
-    q = (cs + 0.5) / (ns + 1.0)  # half a count keeps p_hat = 1 - q inside (0, 1)
-    w = np.sqrt(ns * (1.0 - q) ** 5 / q)  # 1/sd of u_hat by the delta method
-    u_hat = 4.0 * q * (2.0 - q) / (1.0 - q) ** 2  # 4/p_hat^2 - 4 without cancellation
-    a, b = np.linalg.lstsq(jac * w[:, None], w * u_hat, rcond=None)[0]
-    b = b if b > 0.0 else 1.0
-    trace_p = 2.0 + _edge_max(lambda b: (-b, -1.0, 0.0), b, jac, ns, cs)
-    trace_t = 2.0 + _edge_max(lambda b: (0.25 * b * b, 0.5 * b, 0.5), b, jac, ns, cs)
-    candidates = [(trace_p, 1.0), (trace_t, 0.25 * trace_t * trace_t)]
-    a, b = _interior_max(np.array([min(max(a, -b), 0.25 * b * b), b]), jac, ns, cs)
-    if b > 0.0 and -b < a < 0.25 * b * b:
-        candidates.append((2.0 + b, min(a + b + 1.0, 0.25 * (2.0 + b) * (2.0 + b))))
-    scored = [(float(_loglike_arrays(t, d, eff, ns, cs)), -d, -t) for t, d in candidates]
-    log_l, neg_det, neg_trace = max(scored)  # exact ties: smaller det, then smaller trace
-    det_reliable = _det_slice_spread(data, eta_assumed, -neg_trace) >= FLATNESS_NATS
-    return _finish_estimate(-neg_trace, -neg_det, det_reliable, log_l)
+    trace, det, reliable, log_l = (x.item() for x in _ml_solve([data], [eta_assumed]))
+    return _finish_estimate(trace, det, reliable, log_l)
 
 
 def classical_estimate(gain_min: float, gain_max: float) -> SqueezerParams:
@@ -353,8 +414,8 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
 def _mode_fit_table(samples, max_modes):
     """Weighted polynomial fits of 4/p^2 - 4 for each candidate mode count.
 
-    Returns (z_scale, rows) with one row per candidate:
-    (n_modes, degree, rss, chi2_per_dof).  samples are (eff_t, p) or
+    Returns one row per candidate mode count, (n_modes, degree, rss,
+    chi2_per_dof), and no rows for vacuum samples.  samples are (eff_t, p) or
     (eff_t, p, sigma_p) tuples; when sigma_p is present the chi^2 uses
     the propagated error 8*sigma_p/p^3, otherwise the noise scale is
     taken from the highest-degree fit (with a floor so exact data pass).
@@ -376,7 +437,7 @@ def _mode_fit_table(samples, max_modes):
     z = 4.0 / (p * p) - 4.0
     scale = float(np.max(np.abs(z)))
     if scale < 1e-12:
-        return scale, []
+        return []
 
     powers = t[:, None] ** np.arange(1, 2 * max_modes + 1)[None, :]
     if has_sigma:
@@ -404,7 +465,7 @@ def _mode_fit_table(samples, max_modes):
             chi2 = rss / noise_var
         dof = n - 2 * m
         rows.append((m, 2 * m, rss, chi2 / dof))
-    return scale, rows
+    return rows
 
 
 def _mode_count(rows, max_modes):
@@ -429,4 +490,4 @@ def mode_count_fit(samples: list, max_modes: int) -> int:
     chi^2 per degree of freedom is below 2.  Identically-vacuum samples
     (p = 1 everywhere) return 0: no signal to fit.
     """
-    return _mode_count(_mode_fit_table(samples, max_modes)[1], max_modes)
+    return _mode_count(_mode_fit_table(samples, max_modes), max_modes)

@@ -91,10 +91,10 @@ def _simulate_with_truth(trace, det, config, seed):
     records = []
     t_true_values = []
     for t_nom in config.transmittances:
+        t_true = t_nom
         if config.t_uncertainty > 0.0:
-            t_true = float(np.clip(rng.normal(t_nom, config.t_uncertainty), 0.0, 1.0))
-        else:
-            t_true = t_nom
+            drawn = min(max(rng.normal(t_nom, config.t_uncertainty), 0.0), 1.0)
+            t_true = drawn if t_nom > 0.0 else 0.0  # a blocked beam stays blocked
         q = click_probability_from_invariants(trace, det, config.eta_apd * t_true)
         clicks = int(rng.binomial(n, q))
         if config.dark_rate > 0.0:

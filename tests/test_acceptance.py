@@ -206,7 +206,7 @@ def test_criterion_09_mode_count_diagnostic():
     ts = np.linspace(0.05, 0.9, 12)
     single = [(t, no_click_from_invariants(TRACE0, DET0, t)) for t in ts]
     assert mode_count_fit(single, 3) == 1
-    scale1, rows1 = _mode_fit_table(single, 3)
+    rows1 = _mode_fit_table(single, 3)
     rss_single = dict((r[0], r[2]) for r in rows1)[1]
     assert rss_single < 1e-20
 
@@ -219,7 +219,7 @@ def test_criterion_09_mode_count_diagnostic():
         for t in ts
     ]
     assert mode_count_fit(two, 3) == 2
-    scale2, rows2 = _mode_fit_table(two, 3)
+    rows2 = _mode_fit_table(two, 3)
     rss_two = dict((r[0], r[2]) for r in rows2)[2]
     assert rss_two < 1e-20
     print(f"PASS criterion 9: mode diagnostic N=1 (rss {rss_single:.1e}) and "

@@ -353,6 +353,16 @@ class TestSweep:
         noisy = capsys.readouterr().out
         assert exact != noisy
 
+    def test_blocked_setting_with_calibration_noise(self, tmp_path, capsys):
+        # a t = 0 setting must stay dark when the other settings are perturbed
+        path = tmp_path / "blocked.cfg"
+        path.write_text(
+            SWEEP_CONFIG.replace("= 1, 0.5\n", "= 1, 0.75, 0.5, 0.25, 0\n")
+        )
+        argv = ["sweep", "--config", str(path), "--mode", "eta", "--seed", "4", "--runs", "5"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_config_missing_sweep_keys(self, tmp_path):
         path = tmp_path / "bare.cfg"
         path.write_text(BASE_CONFIG)

@@ -6,8 +6,12 @@ from sqclick import (
     ExperimentConfig,
     derive_seed,
     eta_sweep,
+    ml_estimate,
+    perturbed_eta,
     run_ensemble,
+    simulate_run,
     state_sweep,
+    subtract_dark,
 )
 
 TRACE0, DET0 = 2.321, 1.156
@@ -85,9 +89,49 @@ class TestRunEnsemble:
         assert res.sigma_trace < 0.05
         assert res.mean_det_est == pytest.approx(1.0, abs=0.02)
 
+    def test_blocked_setting_under_calibration_noise(self):
+        cfg = quick_config(
+            transmittances=(1.0, 0.75, 0.5, 0.25, 0.0),
+            t_uncertainty=0.005,
+            eta_rel_uncertainty=0.01,
+        )
+        res = run_ensemble(TRACE0, DET0, cfg, 10, seed=4)
+        assert all(run.t_true[-1] == 0.0 for run in res.runs)
+        assert math.isfinite(res.sigma_trace) and math.isfinite(res.sigma_det)
+
     def test_invalid_runs_rejected(self):
         with pytest.raises(ValueError):
             run_ensemble(TRACE0, DET0, quick_config(), 0, seed=1)
+
+
+SIXTEEN = tuple(k / 16 for k in range(16, 0, -1))
+
+
+@pytest.mark.parametrize("eta", [0.0084, 0.5])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(transmittances=(1.0, 0.5, 0.25, 0.0), t_uncertainty=0.005),
+        dict(transmittances=(1.0, 0.75, 0.5, 0.25), dark_rate=200.0),
+        dict(transmittances=SIXTEEN, t_uncertainty=0.005, eta_rel_uncertainty=0.01),
+        dict(transmittances=SIXTEEN, dark_rate=200.0, eta_rel_uncertainty=0.01),
+    ],
+    ids=["4-blocked-noise", "4-dark", "16-noise", "16-dark-noise"],
+)
+def test_batched_runs_equal_serial_estimates(eta, overrides):
+    # every run of the batch has the bits ml_estimate gives its records alone
+    cfg = quick_config(eta_apd=eta, **overrides)
+    res = run_ensemble(TRACE0, DET0, cfg, 12, seed=21)
+    for j, run in enumerate(res.runs):
+        records = simulate_run(TRACE0, DET0, cfg, derive_seed(21, 2 * j))
+        if cfg.dark_rate > 0.0:
+            records = [subtract_dark(r, cfg.dark_rate, cfg.duration) for r in records]
+        eta_assumed = perturbed_eta(cfg, derive_seed(21, 2 * j + 1))
+        est = ml_estimate(records, eta_assumed)
+        serial = (est.trace, est.det, est.det_reliable, est.log_likelihood_at_max, eta_assumed)
+        batched = (run.trace_est, run.det_est, run.det_reliable, run.log_likelihood_at_max,
+                   run.eta_assumed)
+        assert [float(x).hex() for x in batched] == [float(x).hex() for x in serial]
 
 
 class TestEtaSweep:

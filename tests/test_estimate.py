@@ -26,7 +26,7 @@ from sqclick import (
     sensitivity,
     simulate_run,
 )
-from sqclick.estimate import _mode_fit_table
+from sqclick.estimate import _ml_solve, _mode_fit_table
 
 TRACE0, DET0 = 2.321, 1.156
 N_FULL = 78_040_000
@@ -331,6 +331,67 @@ def test_ml_estimate_reaches_dense_grid_maximum(
     assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
 
 
+def solved_bits(runs, etas):
+    """(trace, det, det_reliable, log-likelihood) of each run, as raw bytes."""
+    return [tuple(x[i].tobytes() for x in _ml_solve(runs, etas)) for i in range(len(runs))]
+
+
+def model_block(n_runs, n_settings, seed):
+    """Simulated tables with the same number of settings, one efficiency each;
+    the settings are distinct percentages, t = 0 included."""
+    rng = np.random.default_rng(seed)
+    runs, etas = [], []
+    for _ in range(n_runs):
+        trace = rng.uniform(2.0, 4.0)
+        det = 1.0 + rng.uniform() * (0.25 * trace * trace - 1.0)
+        eta, n = rng.uniform(0.005, 1.0), int(10 ** rng.uniform(3.0, 8.0))
+        ts = rng.choice(101, n_settings, replace=False) / 100
+        qs = [click_probability_from_invariants(trace, det, eta * t) for t in ts]
+        runs.append([ClickRecord(t, n, int(rng.binomial(n, q))) for t, q in zip(ts, qs)])
+        etas.append(eta)
+    return runs, etas
+
+
+@settings(deadline=None)
+@given(
+    n_runs=st.integers(2, 6),
+    n_settings=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batch_rows_are_solved_independently(n_runs, n_settings, seed, data):
+    runs, etas = model_block(n_runs, n_settings, seed)
+    try:
+        alone = [solved_bits([r], [e])[0] for r, e in zip(runs, etas)]
+    except EstimationError:  # e.g. t = 0 and a single other setting
+        return
+    order = data.draw(st.permutations(range(n_runs)))
+    batch = solved_bits([runs[i] for i in order], [etas[i] for i in order])
+    assert batch == [alone[i] for i in order]
+
+
+class TestBatchedSolve:
+    def block(self):
+        return [noiseless_records(TRACE0, DET0, eta, n=10**6) for eta in (0.05, 0.5)], [0.05, 0.5]
+
+    def test_vacuum_row_gives_vacuum_corner(self):
+        runs, etas = self.block()
+        vacuum = [ClickRecord(r.t_nominal, r.trials, 0) for r in runs[0]]
+        batch = _ml_solve([runs[0], vacuum, runs[1]], [etas[0], 0.3, etas[1]])
+        assert [x[1].item() for x in batch] == [2.0, 1.0, True, 0.0]
+        assert solved_bits([runs[0], vacuum, runs[1]], [etas[0], 0.3, etas[1]])[::2] == (
+            solved_bits(runs, etas))
+
+    def test_saturated_row_raises_serial_message(self):
+        runs, etas = self.block()
+        saturated = [ClickRecord(r.t_nominal, r.trials, r.trials) for r in runs[0]]
+        with pytest.raises(EstimationError) as serial:
+            ml_estimate(saturated, 0.3)
+        with pytest.raises(EstimationError) as batched:
+            _ml_solve([runs[0], saturated, runs[1]], [etas[0], 0.3, etas[1]])
+        assert str(batched.value) == str(serial.value)
+
+
 class TestClassicalEstimate:
     @pytest.mark.parametrize(
         "gmin,gmax,g,h",
@@ -430,8 +491,13 @@ class TestModeCountFit:
     def test_single_mode(self):
         assert mode_count_fit(self.single_mode_samples(), 3) == 1
 
+    @staticmethod
+    def z_scale(samples):
+        return max(abs(4.0 / (p * p) - 4.0) for _, p in samples)
+
     def test_single_mode_zero_residual(self):
-        scale, rows = _mode_fit_table(self.single_mode_samples(), 3)
+        samples = self.single_mode_samples()
+        scale, rows = self.z_scale(samples), _mode_fit_table(samples, 3)
         assert rows[0][0] == 1
         assert rows[0][2] < 1e-18 * scale**2 * len(self.TS) + 1e-20
 
@@ -439,7 +505,8 @@ class TestModeCountFit:
         assert mode_count_fit(self.two_mode_samples(), 3) == 2
 
     def test_two_mode_residuals(self):
-        scale, rows = _mode_fit_table(self.two_mode_samples(), 3)
+        samples = self.two_mode_samples()
+        scale, rows = self.z_scale(samples), _mode_fit_table(samples, 3)
         by_n = {r[0]: r for r in rows}
         assert by_n[1][2] > 1e-6  # quadratic cannot absorb the quartic term
         assert by_n[2][2] < 1e-18 * scale**2 * len(self.TS) + 1e-20

@@ -85,6 +85,19 @@ class TestSimulateRun:
             records = simulate_run(2.0, 1.0, cfg, seed)
             assert all(r.clicks == 0 for r in records)
 
+    def test_blocked_setting_stays_dark_under_calibration_noise(self):
+        # t_nominal = 0 is a blocked beam: no light leaks through it, and the
+        # other settings draw what they draw in the same scan without it
+        scan = (1.0, 0.75, 0.5, 0.25)
+        blocked = ExperimentConfig(
+            **dict(FULL_SCALE, transmittances=scan + (0.0,)), eta_apd=0.5, t_uncertainty=0.005
+        )
+        open_only = ExperimentConfig(**FULL_SCALE, eta_apd=0.5, t_uncertainty=0.005)
+        for seed in range(10):
+            records = simulate_run(TRACE0, DET0, blocked, seed)
+            assert records[-1].clicks == 0
+            assert records[:-1] == simulate_run(TRACE0, DET0, open_only, seed)
+
     def test_mean_against_analytic_rate(self):
         # full-scale acquisition at percent-level efficiency, T = 1 only
         cfg = ExperimentConfig(
