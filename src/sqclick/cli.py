@@ -28,6 +28,9 @@ from .gaussian import (
 from .simulate import simulate_run, subtract_dark
 from .tables import (
     ConfigError,
+    _parse_float,
+    _parse_float_list,
+    config_from_mapping,
     estimate_lines,
     fmt,
     load_config,
@@ -153,19 +156,16 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     mapping = read_key_values(args.config)
-    config = load_config(args.config)
+    config = config_from_mapping(mapping)
     if args.mode == "eta":
         for key in ("state_trace", "state_det", "etas"):
             if key not in mapping:
                 raise ConfigError(f"eta sweep config requires key '{key}'")
-        trace_true = float(mapping["state_trace"])
-        det_true = float(mapping["state_det"])
-        etas = [float(tok) for tok in mapping["etas"].replace(",", " ").split()]
         results = eta_sweep(
-            trace_true,
-            det_true,
+            _parse_float(mapping, "state_trace"),
+            _parse_float(mapping, "state_det"),
             config,
-            etas,
+            _parse_float_list(mapping["etas"], "etas"),
             args.runs,
             with_uncertainties=not args.exact_knowledge,
             seed=args.seed,

@@ -9,7 +9,8 @@ setting through a binomial likelihood maximized exactly over the physical
 region 1 <= det <= (trace/2)^2: in a = det - trace + 1, b = trace - 2 each
 4/P^2 - 4 is linear, Newton's method finds the interior, pure-edge and
 thermal-edge maxima, the best wins (exact ties go to the smaller det), and
-det is flagged unreliable when the likelihood is flat along it.  The solver
+det is flagged unreliable when neither end of the admissible det interval
+at the optimal trace lies FLATNESS_NATS below the maximum.  The solver
 works on (R, S) blocks, R runs by S settings, and solves every row on its
 own: ``run_ensemble`` hands it all its runs at once and gets, bit for bit,
 what ``ml_estimate``, the same solver at R = 1, gives each run alone.
@@ -45,11 +46,6 @@ DEGENERATE_T_TOL = 1e-6
 # fluctuations alone, while informative data sit orders of magnitude
 # higher (tens of nats upward), so 3 nats splits the regimes cleanly.
 FLATNESS_NATS = 3.0
-
-# The det-reliability slice: 401 fractions of the admissible det interval,
-# evaluated for _SLICE_BLOCK runs at a time so that memory stays bounded.
-_SLICE = np.linspace(0.0, 1.0, 401)
-_SLICE_BLOCK = 32
 
 
 class EstimationError(ValueError):
@@ -329,16 +325,13 @@ def _ml_solve(runs, etas):
     trace[live], det[live], log_l[live] = best, cand_d[pick], scores[pick]
 
     # det is unreliable when the log-likelihood barely moves along the admissible
-    # det interval at the optimal trace.  There u rises linearly from
-    # (trace - 2)(e1 - e2) at det = 1; blocks of runs bound the slice's memory.
-    det_span = 0.25 * best * best - 1.0
-    u_lo, u_rise = (best - 2.0)[:, None] * (e1 - e2), e2 * det_span[:, None]
-    wide = np.flatnonzero(det_span >= 1e-9)  # else det is pinned by the constraints
-    for start in range(0, wide.size, _SLICE_BLOCK):
-        i = wide[start:start + _SLICE_BLOCK]
-        u = u_lo[i, None] + u_rise[i, None] * _SLICE[:, None]
-        ll = _setting_loglike(u, ns[i, None], cs[i, None]).sum(-1)
-        reliable[live[i]] = ll.max(-1) - ll.min(-1) >= FLATNESS_NATS
+    # det interval [1, (trace/2)^2] at the optimal trace.  Its maximum there is
+    # log_l, as the ML point lies on it; its minimum is at an end in practice.
+    top = 0.25 * best * best
+    ends = _loglike(best[:, None, None], np.stack([np.ones(live.size), top], -1)[..., None],
+                    eff[:, None], ns[:, None], cs[:, None])
+    pinned = top - 1.0 < 1e-9  # det is fixed by the constraints
+    reliable[live] = pinned | (log_l[live] - ends.min(-1) >= FLATNESS_NATS)
     return trace, det, reliable, log_l
 
 
@@ -356,11 +349,14 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     wins; exact ties prefer the smaller det (the more conservative,
     closer-to-pure claim).  This is the batched solver at R = 1.
 
-    det_reliable is False when, at the optimal trace, the log-likelihood
-    varies by less than FLATNESS_NATS across the whole admissible det
-    interval.  EstimationError: no data, a zero-trial setting, fewer than
-    two distinct nonzero transmittances, clicks at zero transmittance, or
-    clicks == trials at every setting (no finite maximum).
+    det_reliable is False when, at the optimal trace, both ends of the
+    admissible det interval [1, (trace/2)^2] lie less than FLATNESS_NATS
+    below the maximum, which lies on that slice; its lowest point is at an
+    end in practice (no table checked had a lower interior point).  A
+    pinned interval (trace = 2) counts as reliable.  EstimationError: no
+    data, a zero-trial setting, fewer than two distinct nonzero
+    transmittances, clicks at zero transmittance, or clicks == trials at
+    every setting (no finite maximum).
     """
     trace, det, reliable, log_l = (x.item() for x in _ml_solve([data], [eta_assumed]))
     return _finish_estimate(trace, det, reliable, log_l)
@@ -440,32 +436,21 @@ def _mode_fit_table(samples, max_modes):
         return []
 
     powers = t[:, None] ** np.arange(1, 2 * max_modes + 1)[None, :]
+    sigma_z = np.ones(n)
     if has_sigma:
         sigma_z = 8.0 * np.array([s[2] for s in samples], dtype=float) / p**3
         if np.any(sigma_z <= 0.0):
             raise ValueError("sigma_p values must be positive")
-        noise_var = None
-    else:
-        sigma_z = None
-        coef, *_ = np.linalg.lstsq(powers, z, rcond=None)
-        rss_sat = float(np.sum((z - powers @ coef) ** 2))
-        noise_var = max(rss_sat / (n - 2 * max_modes), (1e-10 * scale) ** 2)
-
-    rows = []
+    fits = []  # (rss, chi^2 before the noise scale) per mode count
     for m in range(1, max_modes + 1):
         cols = powers[:, : 2 * m]
-        if has_sigma:
-            coef, *_ = np.linalg.lstsq(cols / sigma_z[:, None], z / sigma_z, rcond=None)
-            resid = (z - cols @ coef) / sigma_z
-            rss = float(np.sum((z - cols @ coef) ** 2))
-            chi2 = float(np.sum(resid * resid))
-        else:
-            coef, *_ = np.linalg.lstsq(cols, z, rcond=None)
-            rss = float(np.sum((z - cols @ coef) ** 2))
-            chi2 = rss / noise_var
-        dof = n - 2 * m
-        rows.append((m, 2 * m, rss, chi2 / dof))
-    return rows
+        coef, *_ = np.linalg.lstsq(cols / sigma_z[:, None], z / sigma_z, rcond=None)
+        resid = z - cols @ coef
+        fits.append((float(np.sum(resid**2)), float(np.sum((resid / sigma_z) ** 2))))
+    # Without sigmas the noise scale comes from the highest-degree fit, the last one.
+    noise_var = 1.0 if has_sigma else max(fits[-1][0] / (n - 2 * max_modes), (1e-10 * scale) ** 2)
+    return [(m, 2 * m, rss, chi2 / noise_var / (n - 2 * m))
+            for m, (rss, chi2) in enumerate(fits, start=1)]
 
 
 def _mode_count(rows, max_modes):

@@ -10,6 +10,7 @@ relative error (``perturbed_eta``).  Dark counts are an independent
 Poisson stream.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "transmittances", tuple(float(t) for t in self.transmittances))
+        for name in ("rep_rate", "duration", "eta_apd", "dark_rate", "t_uncertainty",
+                     "eta_rel_uncertainty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if self.rep_rate <= 0.0 or self.duration <= 0.0:
             raise ValueError("rep_rate and duration must be positive")
         if not self.transmittances:

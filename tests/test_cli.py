@@ -184,6 +184,23 @@ class TestSimulate:
             ["simulate", "--config", base_config, "--trace", "2", "--det", "1.5", "--seed", "1"]
         ) == 3
 
+    @pytest.mark.parametrize(
+        "line",
+        ["rep_rate_hz = inf", "duration_s = nan", "dark_rate_hz = nan", "t_uncertainty = nan",
+         "eta_rel_uncertainty = nan"],
+    )
+    def test_non_finite_config_exit_code(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        path = tmp_path / "bad.cfg"
+        path.write_text(
+            "".join(l + "\n" for l in BASE_CONFIG.splitlines() if not l.startswith(key))
+            + line + "\n"
+        )
+        assert main(
+            ["simulate", "--config", str(path), "--trace", "2.5", "--det", "1", "--seed", "1"]
+        ) == 2
+        assert "is not finite" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self):
         assert main(
             ["simulate", "--config", "/nonexistent.cfg", "--trace", "2.5", "--det", "1",
@@ -362,6 +379,17 @@ class TestSweep:
         argv = ["sweep", "--config", str(path), "--mode", "eta", "--seed", "4", "--runs", "5"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [("etas = 0.3, 0.6", "etas = 0.1, abc"), ("state_trace = 2.321", "state_trace = 2.3x")],
+    )
+    def test_malformed_sweep_values_exit_code(self, tmp_path, old, new):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SWEEP_CONFIG.replace(old, new))
+        assert main(
+            ["sweep", "--config", str(path), "--mode", "eta", "--seed", "1", "--runs", "2"]
+        ) == 2
 
     def test_config_missing_sweep_keys(self, tmp_path):
         path = tmp_path / "bare.cfg"

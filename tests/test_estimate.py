@@ -23,10 +23,11 @@ from sqclick import (
     ml_estimate,
     mode_count_fit,
     no_click_from_invariants,
+    perturbed_eta,
     sensitivity,
     simulate_run,
 )
-from sqclick.estimate import _ml_solve, _mode_fit_table
+from sqclick.estimate import FLATNESS_NATS, _ml_solve, _mode_fit_table
 
 TRACE0, DET0 = 2.321, 1.156
 N_FULL = 78_040_000
@@ -390,6 +391,48 @@ class TestBatchedSolve:
         with pytest.raises(EstimationError) as batched:
             _ml_solve([runs[0], saturated, runs[1]], [etas[0], 0.3, etas[1]])
         assert str(batched.value) == str(serial.value)
+
+
+def assert_det_reliable_matches_grid(records, eta):
+    """det_reliable against the grid oracle: the log-likelihood's max - min over
+    2001 dets spanning [1, (trace/2)^2] at the estimated trace."""
+    est = ml_estimate(records, eta)
+    top = 0.25 * est.trace * est.trace
+    if top - 1.0 < 1e-9:  # det pinned by the constraints
+        assert est.det_reliable
+        return
+    log_l = likelihood_grid(records, eta, [est.trace], np.linspace(1.0, top, 2001)).log_l
+    spread = log_l.max() - log_l.min()
+    if abs(spread - FLATNESS_NATS) >= 1e-3:
+        assert est.det_reliable == (spread >= FLATNESS_NATS), spread
+
+
+@pytest.mark.parametrize("eta", [0.0084, 0.012, 0.016, 0.05, 0.5])
+@pytest.mark.parametrize("n_settings", [4, 16])
+def test_det_reliable_matches_grid_oracle(n_settings, eta):
+    # with calibration noise the spread straddles FLATNESS_NATS at eta 0.012 and
+    # 0.016 for 4 settings and at 0.0084 for 16; it is far below or above elsewhere
+    config = ExperimentConfig(
+        rep_rate=780400.0,
+        duration=100.0,
+        transmittances=tuple(np.linspace(1.0, 1.0 / n_settings, n_settings)),
+        eta_apd=eta,
+        t_uncertainty=0.005,
+        eta_rel_uncertainty=0.02,
+    )
+    for seed in range(8):
+        records = simulate_run(TRACE0, DET0, config, seed)
+        assert_det_reliable_matches_grid(records, perturbed_eta(config, seed))
+
+
+def test_det_reliable_matches_grid_oracle_off_model():
+    # random click counts, which no single-mode Gaussian state explains
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        ts = rng.choice(np.arange(1, 101), int(rng.integers(2, 7)), replace=False) / 100
+        n = int(10 ** rng.uniform(1.0, 6.0))
+        records = [ClickRecord(t, n, int(rng.integers(0, n // 2 + 1))) for t in ts]
+        assert_det_reliable_matches_grid(records, rng.uniform(0.005, 1.0))
 
 
 class TestClassicalEstimate:

@@ -46,6 +46,15 @@ class TestConfig:
             dict(eta_apd=1.5),
             dict(dark_rate=-1.0),
             dict(t_uncertainty=-0.1),
+            dict(rep_rate=math.inf),
+            dict(duration=math.nan),
+            dict(eta_apd=math.nan),
+            dict(dark_rate=math.nan),
+            dict(dark_rate=math.inf),
+            dict(t_uncertainty=math.nan),
+            dict(eta_rel_uncertainty=math.nan),
+            dict(eta_rel_uncertainty=-math.inf),
+            dict(transmittances=(1.0, math.nan)),
         ],
     )
     def test_invalid_configs_rejected(self, bad):
