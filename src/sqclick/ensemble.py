@@ -8,16 +8,23 @@ any statistic can be recomputed afterwards.
 Seeding: run k of an ensemble uses the pair of derived seeds
 ``derive_seed(master, 2k)`` (data acquisition) and
 ``derive_seed(master, 2k + 1)`` (efficiency knowledge), where
-``derive_seed`` is a SplitMix64 mix of the master seed and the index.
-Sweeps derive one master per sweep point the same way.  Results are
-therefore identical no matter how runs are scheduled.
+``derive_seed`` is a SplitMix64 mix of the master seed and the index,
+and each seed ``s`` drives ``np.random.default_rng(s)``.  Sweeps derive
+one master per sweep point the same way.  Results are therefore identical
+no matter how runs are scheduled, and run k of an ensemble draws exactly
+what ``simulate_run`` and ``perturbed_eta`` draw from its two seeds.  An
+ensemble builds its Generators from one vectorised pass of numpy's
+SeedSequence hash over all its seeds (``_seeding``), which gives the
+same streams as ``default_rng`` at a fraction of the cost per run.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from .estimate import _ml_solve, ml_estimate  # noqa: F401  (ml_estimate: bench/ patches it here)
-from .simulate import ExperimentConfig, perturbed_eta, subtract_dark, _simulate_with_truth
+import numpy as np
+
+from .estimate import _check_etas, _ml_solve, ml_estimate  # noqa: F401  (ml_estimate: bench/ patches it here)
+from .simulate import ExperimentConfig, _draw_clicks, _draw_etas, _expected_dark
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,19 +85,26 @@ def run_ensemble(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    acquisitions, t_trues, etas = [], [], []
-    for k in range(n_runs):
-        records, t_true = _simulate_with_truth(
-            trace_true, det_true, config, derive_seed(seed, 2 * k)
-        )
-        if config.dark_rate > 0.0:
-            records = [
-                subtract_dark(r, config.dark_rate, config.duration) for r in records
-            ]
-        acquisitions.append(records)
-        t_trues.append(t_true)
-        etas.append(perturbed_eta(config, derive_seed(seed, 2 * k + 1)))
-    solved = (x.tolist() for x in _ml_solve(acquisitions, etas))
+    # Deferred: numpy.random takes about 20 ms to import, which the CLI
+    # commands that never draw (estimate, invert, modefit) should not pay.
+    from ._seeding import generators
+
+    rows, t_trues = _draw_clicks(
+        trace_true, det_true, config,
+        generators([derive_seed(seed, 2 * k) for k in range(n_runs)]),
+    )
+    cs = np.array(rows, dtype=np.int64)
+    if config.dark_rate > 0.0:
+        cs = np.maximum(cs - _expected_dark(config.dark_rate, config.duration), 0)
+    if config.eta_rel_uncertainty > 0.0:
+        etas = _draw_etas(config, generators([derive_seed(seed, 2 * k + 1)
+                                              for k in range(n_runs)]))
+    else:
+        etas = [config.eta_apd] * n_runs
+    _check_etas(etas)
+    eff = np.array(etas)[:, None] * np.array(config.transmittances)
+    solved = (x.tolist() for x in _ml_solve(eff, np.full(eff.shape, float(config.n_trials)),
+                                            cs.astype(float)))
     runs = [
         RunResult(k, trace, det, reliable, eta_assumed, t_true, log_l)
         for k, (trace, det, reliable, log_l, eta_assumed, t_true)

@@ -99,9 +99,9 @@ def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float,
         raise EstimationError(
             f"transmittances {t1} and {t2} too close to invert (|dt| < {DEGENERATE_T_TOL})"
         )
-    eff, p = np.array([t1, t2]), np.array([p1, p2])
-    u = 4.0 * (1.0 - p) * (1.0 + p) / (p * p)
-    a, b = np.linalg.solve(np.stack([eff * eff, 2.0 * eff], axis=1), u)
+    u1, u2 = (4.0 * (1.0 - p) * (1.0 + p) / (p * p) for p in (p1, p2))
+    # The second row times 2*t1/t2^2 makes the system symmetric.
+    a, b = _solve2(t1 * t1, 2.0 * t1, 4.0 * t1 / t2, u1, 2.0 * t1 * u2 / (t2 * t2))
     return float(2.0 + b), float(a + b + 1.0)
 
 
@@ -121,11 +121,17 @@ def sensitivity(p1: float, eta: float) -> tuple[float, float]:
     return 4.0 / (eta * p3), -16.0 / (eta * eta * p3)
 
 
-def _setting_arrays(runs, etas):
-    """(R, S) effective transmittance, trials and clicks: one row per run, settings last."""
+def _check_etas(etas):
+    """Raise ValueError at the first assumed efficiency outside (0, 1]."""
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta_assumed = {eta} outside (0, 1]")
+
+
+def _setting_arrays(runs, etas):
+    """(R, S) effective transmittance, trials and clicks of click-record lists:
+    one row per run, settings last."""
+    _check_etas(etas)
     eff = np.array([[eta * r.t_nominal for r in data] for data, eta in zip(runs, etas)], float)
     ns = np.array([[r.trials for r in data] for data in runs], float)
     cs = np.array([[r.clicks for r in data] for data in runs], float)
@@ -270,16 +276,16 @@ def _interior_max(a, b, e2, e1, ns, cs):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _ml_solve(runs, etas):
+def _ml_solve(eff, ns, cs):
     """Maximum-likelihood (trace, det, det_reliable, log-likelihood) arrays for R runs.
 
-    runs are R lists of S click records and etas their assumed efficiencies.
-    Every row of the (R, S) block is solved on its own: converged rows are
-    frozen by masks, every sum runs over the last (settings) axis and no
-    matrix product is used, so a run gets the same bits in any batch as
-    alone.  See ml_estimate for the method and the errors.
+    eff, ns and cs are (R, S) float arrays of effective transmittance
+    (assumed efficiency times nominal transmittance), trials and clicks, one
+    row per run.  Every row is solved on its own: converged rows are frozen
+    by masks, every sum runs over the last (settings) axis and no matrix
+    product is used, so a run gets the same bits in any batch as alone.
+    See ml_estimate for the method and the errors.
     """
-    eff, ns, cs = _setting_arrays(runs, etas)
     lo = np.min(np.where(eff > 0.0, eff, np.inf), axis=-1, initial=np.inf)
     clicked = cs.sum(-1) > 0
     checks = (
@@ -296,8 +302,9 @@ def _ml_solve(runs, etas):
         raise EstimationError(checks[int(failed[:, failed.any(0).argmax()].argmax())][1])
 
     # Zero clicks anywhere: the data are certain only for the vacuum.
-    trace, det, log_l = np.full(len(runs), 2.0), np.ones(len(runs)), np.zeros(len(runs))
-    reliable = np.ones(len(runs), dtype=bool)
+    n_runs = eff.shape[0]
+    trace, det, log_l = np.full(n_runs, 2.0), np.ones(n_runs), np.zeros(n_runs)
+    reliable = np.ones(n_runs, dtype=bool)
     live = np.flatnonzero(clicked)
     eff, ns, cs = eff[live], ns[live], cs[live]
     e2, e1 = eff * eff, 2.0 * eff  # du/da, du/db
@@ -358,7 +365,8 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     transmittances, clicks at zero transmittance, or clicks == trials at
     every setting (no finite maximum).
     """
-    trace, det, reliable, log_l = (x.item() for x in _ml_solve([data], [eta_assumed]))
+    solved = _ml_solve(*_setting_arrays([data], [eta_assumed]))
+    trace, det, reliable, log_l = (x.item() for x in solved)
     return _finish_estimate(trace, det, reliable, log_l)
 
 

@@ -232,6 +232,11 @@ def click_probability_from_invariants(trace: float, det: float, eff_t: float) ->
         raise ValueError(f"effective transmittance {eff_t} outside [0, 1]")
     if not check_physicality(trace, det):
         raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
+    return _click_probability(trace, det, eff_t)
+
+
+def _click_probability(trace, det, eff_t):
+    """click_probability_from_invariants without its checks, for callers that made them."""
     u = max(_bs_gram_excess(trace, det, eff_t), 0.0)
     s = math.sqrt(4.0 + u)
     return u / (s * (s + 2.0))

@@ -18,9 +18,13 @@ import numpy as np
 from .gaussian import (
     SqueezerParams,
     UnphysicalStateError,
+    _click_probability,
     check_physicality,
-    click_probability_from_invariants,
 )
+
+# numpy draws binomials with an int64 trial count.
+_MAX_TRIALS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -52,6 +56,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if self.rep_rate <= 0.0 or self.duration <= 0.0:
             raise ValueError("rep_rate and duration must be positive")
+        pulses = self.rep_rate * self.duration
+        if not (math.isfinite(pulses) and round(pulses) <= _MAX_TRIALS):
+            raise ValueError(
+                f"rep_rate * duration = {pulses} pulses per setting exceeds {_MAX_TRIALS}"
+            )
         if not self.transmittances:
             raise ValueError("at least one transmittance setting is required")
         if any(not 0.0 <= t <= 1.0 for t in self.transmittances):
@@ -87,27 +96,38 @@ class ClickRecord:
             raise ValueError(f"clicks = {self.clicks} outside [0, trials = {self.trials}]")
 
 
-def _simulate_with_truth(trace, det, config, seed):
-    """Run the experiment once; also return the true transmittances used."""
+def _draw_clicks(trace, det, config, rngs):
+    """Click totals and true transmittances of one run per Generator in ``rngs``.
+
+    Returns a list of rows, each a list of one click count per setting, and
+    a list of true-transmittance tuples.  Each run draws, setting by
+    setting, the true transmittance (when t_uncertainty > 0), the clicks
+    and the dark counts (when dark_rate > 0), in that order.
+    """
     if not check_physicality(trace, det):
         raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
-    rng = np.random.default_rng(seed)
-    n = config.n_trials
-    records = []
-    t_true_values = []
-    for t_nom in config.transmittances:
-        t_true = t_nom
-        if config.t_uncertainty > 0.0:
-            drawn = min(max(rng.normal(t_nom, config.t_uncertainty), 0.0), 1.0)
-            t_true = drawn if t_nom > 0.0 else 0.0  # a blocked beam stays blocked
-        q = click_probability_from_invariants(trace, det, config.eta_apd * t_true)
-        clicks = int(rng.binomial(n, q))
-        if config.dark_rate > 0.0:
-            dark = int(rng.poisson(config.dark_rate * config.duration))
-            clicks = min(clicks + dark, n)
-        records.append(ClickRecord(t_nominal=t_nom, trials=n, clicks=clicks))
-        t_true_values.append(t_true)
-    return records, tuple(t_true_values)
+    n, eta, sigma = config.n_trials, config.eta_apd, config.t_uncertainty
+    dark = config.dark_rate * config.duration if config.dark_rate > 0.0 else None
+    nominal = config.transmittances
+    nominal_q = [_click_probability(trace, det, eta * t) for t in nominal] if sigma == 0.0 else None
+    rows, t_trues = [], []
+    for rng in rngs:
+        row, t_true = [], []
+        for i, t_nom in enumerate(nominal):
+            if nominal_q is None:
+                drawn = min(max(rng.normal(t_nom, sigma), 0.0), 1.0)
+                t = drawn if t_nom > 0.0 else 0.0  # a blocked beam stays blocked
+                q = _click_probability(trace, det, eta * t)
+                t_true.append(t)
+            else:
+                q = nominal_q[i]
+            clicks = int(rng.binomial(n, q))
+            if dark is not None:
+                clicks = min(clicks + int(rng.poisson(dark)), n)
+            row.append(clicks)
+        rows.append(row)
+        t_trues.append(tuple(t_true) if nominal_q is None else nominal)
+    return rows, t_trues
 
 
 def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) -> list:
@@ -117,8 +137,9 @@ def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) 
     transmittances; the (possibly perturbed) true values stay internal,
     exactly like a real calibration error would.
     """
-    records, _ = _simulate_with_truth(trace, det, config, seed)
-    return records
+    rows, _ = _draw_clicks(trace, det, config, [np.random.default_rng(seed)])
+    n = config.n_trials
+    return [ClickRecord(t, n, c) for t, c in zip(config.transmittances, rows[0])]
 
 
 def expected_click_rate(params: SqueezerParams, eta: float, rep_rate: float) -> float:
@@ -130,6 +151,11 @@ def expected_click_rate(params: SqueezerParams, eta: float, rep_rate: float) -> 
     return 0.5 * eta * rep_rate * ((params.h - 0.5) * (params.g + 1.0 / params.g) - 1.0)
 
 
+def _expected_dark(dark_rate, duration) -> int:
+    """Dark counts expected in one setting's acquisition, rounded to a count."""
+    return int(round(dark_rate * duration))
+
+
 def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> ClickRecord:
     """Remove the expected dark-count total, flooring at zero clicks."""
     if not (dark_rate >= 0.0 and duration > 0.0):
@@ -138,11 +164,10 @@ def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> Cli
         )
     if record.dark_subtracted:
         raise ValueError("dark counts already subtracted from this record")
-    expected_dark = int(round(dark_rate * duration))
     return ClickRecord(
         t_nominal=record.t_nominal,
         trials=record.trials,
-        clicks=max(0, record.clicks - expected_dark),
+        clicks=max(0, record.clicks - _expected_dark(dark_rate, duration)),
         dark_subtracted=True,
     )
 
@@ -155,6 +180,13 @@ def perturbed_eta(config: ExperimentConfig, seed: int) -> float:
     """
     if config.eta_rel_uncertainty == 0.0:
         return config.eta_apd
-    rng = np.random.default_rng(seed)
-    value = config.eta_apd * (1.0 + rng.normal(0.0, config.eta_rel_uncertainty))
-    return float(min(max(value, 1e-12), 1.0))
+    return _draw_etas(config, [np.random.default_rng(seed)])[0]
+
+
+def _draw_etas(config, rngs):
+    """perturbed_eta's value, one per Generator in ``rngs``."""
+    return [
+        float(min(max(config.eta_apd * (1.0 + rng.normal(0.0, config.eta_rel_uncertainty)),
+                      1e-12), 1.0))
+        for rng in rngs
+    ]

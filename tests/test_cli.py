@@ -201,6 +201,15 @@ class TestSimulate:
         ) == 2
         assert "is not finite" in capsys.readouterr().err
 
+    def test_unrepresentable_pulse_count_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG.replace("rep_rate_hz = 780400", "rep_rate_hz = 1e15")
+                        .replace("duration_s = 100", "duration_s = 1e15"))
+        assert main(
+            ["simulate", "--config", str(path), "--trace", "2.5", "--det", "1", "--seed", "1"]
+        ) == 2
+        assert "pulses per setting exceeds" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self):
         assert main(
             ["simulate", "--config", "/nonexistent.cfg", "--trace", "2.5", "--det", "1",

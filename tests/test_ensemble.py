@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sqclick import (
@@ -13,6 +14,8 @@ from sqclick import (
     state_sweep,
     subtract_dark,
 )
+from sqclick._seeding import SeedState, generators, pcg64_seed_states
+from sqclick.simulate import _draw_clicks
 
 TRACE0, DET0 = 2.321, 1.156
 
@@ -43,6 +46,25 @@ class TestDeriveSeed:
     def test_64_bit_range(self):
         for k in range(100):
             assert 0 <= derive_seed(123456789, k) < 2**64
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+
+class TestSeedingPass:
+    def test_states_match_default_rng(self):
+        seeds = EDGE_SEEDS + [derive_seed(17, k) for k in range(1000)]
+        for seed, rng in zip(seeds, generators(seeds)):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    @pytest.mark.parametrize("request_", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                          (8, np.uint64)])
+    def test_adapter_rejects_other_requests(self, request_):
+        state = SeedState(pcg64_seed_states([5])[0])
+        with pytest.raises(RuntimeError):
+            state.generate_state(*request_)
+        assert (state.generate_state(4, np.uint64)
+                == np.random.SeedSequence(5).generate_state(4, np.uint64)).all()
 
 
 class TestRunEnsemble:
@@ -103,6 +125,12 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(TRACE0, DET0, quick_config(), 0, seed=1)
 
+    @pytest.mark.parametrize("n_runs", [1, 40])
+    def test_zero_efficiency_rejected_like_ml_estimate(self, n_runs):
+        cfg = quick_config(eta_apd=0.0)
+        with pytest.raises(ValueError, match=r"^eta_assumed = 0.0 outside \(0, 1\]$"):
+            run_ensemble(TRACE0, DET0, cfg, n_runs, seed=1)
+
 
 SIXTEEN = tuple(k / 16 for k in range(16, 0, -1))
 
@@ -115,14 +143,20 @@ SIXTEEN = tuple(k / 16 for k in range(16, 0, -1))
         dict(transmittances=(1.0, 0.75, 0.5, 0.25), dark_rate=200.0),
         dict(transmittances=SIXTEEN, t_uncertainty=0.005, eta_rel_uncertainty=0.01),
         dict(transmittances=SIXTEEN, dark_rate=200.0, eta_rel_uncertainty=0.01),
+        dict(t_uncertainty=0.005, eta_rel_uncertainty=0.01, dark_rate=200.0),
     ],
-    ids=["4-blocked-noise", "4-dark", "16-noise", "16-dark-noise"],
+    ids=["4-blocked-noise", "4-dark", "16-noise", "16-dark-noise", "4-dark-noise"],
 )
 def test_batched_runs_equal_serial_estimates(eta, overrides):
-    # every run of the batch has the bits ml_estimate gives its records alone
+    # every run of the batch has the bits ml_estimate gives its records alone;
+    # 12 runs seed by default_rng, 40 by the batched SeedSequence pass
     cfg = quick_config(eta_apd=eta, **overrides)
-    res = run_ensemble(TRACE0, DET0, cfg, 12, seed=21)
+    res = run_ensemble(TRACE0, DET0, cfg, 40, seed=21)
+    assert run_ensemble(TRACE0, DET0, cfg, 12, seed=21).runs == res.runs[:12]
     for j, run in enumerate(res.runs):
+        rng = np.random.default_rng(derive_seed(21, 2 * j))
+        _, (t_true,) = _draw_clicks(TRACE0, DET0, cfg, [rng])
+        assert run.t_true == t_true
         records = simulate_run(TRACE0, DET0, cfg, derive_seed(21, 2 * j))
         if cfg.dark_rate > 0.0:
             records = [subtract_dark(r, cfg.dark_rate, cfg.duration) for r in records]
@@ -132,6 +166,37 @@ def test_batched_runs_equal_serial_estimates(eta, overrides):
         batched = (run.trace_est, run.det_est, run.det_reliable, run.log_likelihood_at_max,
                    run.eta_assumed)
         assert [float(x).hex() for x in batched] == [float(x).hex() for x in serial]
+
+
+def test_sweep_streams_are_pinned():
+    # float.hex of a 2-point x 200-run sweep with calibration noise: any change
+    # to a random stream or to the solver's arithmetic shows here first
+    cfg = quick_config(t_uncertainty=0.005, eta_rel_uncertainty=0.01)
+    res = eta_sweep(TRACE0, DET0, cfg, [0.05, 0.5], 200, with_uncertainties=True, seed=2026)
+    golden = [
+        ("0x1.0e10c384cc6dap-6", "0x1.5bbda4e88f6ffp-3",
+         (0, "0x1.26a91eb8be402p+1", "0x1.5328e249e8965p+0", False, "0x1.9dc9b5e2a28e7p-5",
+          ("0x1.fe5bcd9bac847p-1", "0x1.85979b191513ap-1", "0x1.00c553342a99fp-1",
+           "0x1.05bb470da45f6p-2"), "-0x1.4123f760617d1p+11"),
+         (199, "0x1.27ae60dc677e0p+1", "0x1.55835a03c6c72p+0", False, "0x1.943c55c97dd7ap-5",
+          ("0x1.0000000000000p+0", "0x1.7f55496c3adcep-1", "0x1.fa49dcb17d0b9p-2",
+           "0x1.017ccb9691ccfp-2"), "-0x1.41d75e00218f6p+11")),
+        ("0x1.23c743a1a3933p-6", "0x1.1d018d9b2233cp-4",
+         (0, "0x1.2d086458adf02p+1", "0x1.02c19e86a3934p+0", True, "0x1.fe7b68f7bfc6fp-2",
+          ("0x1.fba1f02166d8dp-1", "0x1.7ddc6a0a95007p-1", "0x1.fca2255bd1ab5p-2",
+           "0x1.09f11b380ea1ap-2"), "-0x1.f4893162e75fcp+13"),
+         (199, "0x1.278cf02933ce8p+1", "0x1.3605c3a1c1060p+0", True, "0x1.011d5c5618926p-1",
+          ("0x1.0000000000000p+0", "0x1.816916c1e25fap-1", "0x1.0370c8eb458b7p-1",
+           "0x1.f82fb2b8308c0p-3"), "-0x1.f7a95469d6785p+13")),
+    ]
+
+    def hexed(run):
+        return (run.index, run.trace_est.hex(), run.det_est.hex(), run.det_reliable,
+                run.eta_assumed.hex(), tuple(t.hex() for t in run.t_true),
+                run.log_likelihood_at_max.hex())
+
+    assert [(r.sigma_trace.hex(), r.sigma_det.hex(), hexed(r.runs[0]), hexed(r.runs[-1]))
+            for r in res] == golden
 
 
 class TestEtaSweep:

@@ -27,7 +27,7 @@ from sqclick import (
     sensitivity,
     simulate_run,
 )
-from sqclick.estimate import FLATNESS_NATS, _ml_solve, _mode_fit_table
+from sqclick.estimate import FLATNESS_NATS, _ml_solve, _mode_fit_table, _setting_arrays
 
 TRACE0, DET0 = 2.321, 1.156
 N_FULL = 78_040_000
@@ -334,7 +334,8 @@ def test_ml_estimate_reaches_dense_grid_maximum(
 
 def solved_bits(runs, etas):
     """(trace, det, det_reliable, log-likelihood) of each run, as raw bytes."""
-    return [tuple(x[i].tobytes() for x in _ml_solve(runs, etas)) for i in range(len(runs))]
+    solved = _ml_solve(*_setting_arrays(runs, etas))
+    return [tuple(x[i].tobytes() for x in solved) for i in range(len(runs))]
 
 
 def model_block(n_runs, n_settings, seed):
@@ -378,7 +379,7 @@ class TestBatchedSolve:
     def test_vacuum_row_gives_vacuum_corner(self):
         runs, etas = self.block()
         vacuum = [ClickRecord(r.t_nominal, r.trials, 0) for r in runs[0]]
-        batch = _ml_solve([runs[0], vacuum, runs[1]], [etas[0], 0.3, etas[1]])
+        batch = _ml_solve(*_setting_arrays([runs[0], vacuum, runs[1]], [etas[0], 0.3, etas[1]]))
         assert [x[1].item() for x in batch] == [2.0, 1.0, True, 0.0]
         assert solved_bits([runs[0], vacuum, runs[1]], [etas[0], 0.3, etas[1]])[::2] == (
             solved_bits(runs, etas))
@@ -389,7 +390,7 @@ class TestBatchedSolve:
         with pytest.raises(EstimationError) as serial:
             ml_estimate(saturated, 0.3)
         with pytest.raises(EstimationError) as batched:
-            _ml_solve([runs[0], saturated, runs[1]], [etas[0], 0.3, etas[1]])
+            _ml_solve(*_setting_arrays([runs[0], saturated, runs[1]], [etas[0], 0.3, etas[1]]))
         assert str(batched.value) == str(serial.value)
 
 

@@ -55,6 +55,8 @@ class TestConfig:
             dict(eta_rel_uncertainty=math.nan),
             dict(eta_rel_uncertainty=-math.inf),
             dict(transmittances=(1.0, math.nan)),
+            dict(rep_rate=1e15, duration=1e15),
+            dict(rep_rate=1e200, duration=1e200),
         ],
     )
     def test_invalid_configs_rejected(self, bad):
