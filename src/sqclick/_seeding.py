@@ -16,8 +16,6 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# The pass costs about as much as this many default_rng calls.
-MIN_BATCH_SEEDS = 16
 
 
 def pcg64_seed_states(seeds):
@@ -77,9 +75,10 @@ class SeedState(ISeedSequence):
 
 
 def generators(seeds):
-    """A Generator per seed, each with np.random.default_rng(seed)'s stream;
-    from the vectorised SeedSequence pass when there are enough seeds to pay for it."""
-    if len(seeds) < MIN_BATCH_SEEDS:
-        return [np.random.default_rng(s) for s in seeds]
-    return [np.random.Generator(np.random.PCG64(SeedState(row)))
-            for row in pcg64_seed_states(seeds)]
+    """A Generator per seed, each with np.random.default_rng(seed)'s stream.
+
+    The states come from one vectorised pass; each Generator is built only
+    when the iterator reaches it, so the sequence can be read once.
+    """
+    return (np.random.Generator(np.random.PCG64(SeedState(row)))
+            for row in pcg64_seed_states(seeds))

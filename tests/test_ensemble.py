@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,8 +149,8 @@ SIXTEEN = tuple(k / 16 for k in range(16, 0, -1))
     ids=["4-blocked-noise", "4-dark", "16-noise", "16-dark-noise", "4-dark-noise"],
 )
 def test_batched_runs_equal_serial_estimates(eta, overrides):
-    # every run of the batch has the bits ml_estimate gives its records alone;
-    # 12 runs seed by default_rng, 40 by the batched SeedSequence pass
+    # every run of the batch has the bits ml_estimate gives its records alone,
+    # and a shorter ensemble is a prefix of a longer one
     cfg = quick_config(eta_apd=eta, **overrides)
     res = run_ensemble(TRACE0, DET0, cfg, 40, seed=21)
     assert run_ensemble(TRACE0, DET0, cfg, 12, seed=21).runs == res.runs[:12]
@@ -169,34 +170,51 @@ def test_batched_runs_equal_serial_estimates(eta, overrides):
 
 
 def test_sweep_streams_are_pinned():
-    # float.hex of a 2-point x 200-run sweep with calibration noise: any change
-    # to a random stream or to the solver's arithmetic shows here first
+    # a 2-point x 200-run sweep with calibration noise.  What comes only from
+    # the random streams (efficiency, true transmittances, clicks) is pinned
+    # to the bit; the solver's outputs, which pass through numpy's
+    # platform-dependent log/exp, to 6 significant digits
     cfg = quick_config(t_uncertainty=0.005, eta_rel_uncertainty=0.01)
-    res = eta_sweep(TRACE0, DET0, cfg, [0.05, 0.5], 200, with_uncertainties=True, seed=2026)
+    etas = [0.05, 0.5]
+    res = eta_sweep(TRACE0, DET0, cfg, etas, 200, with_uncertainties=True, seed=2026)
     golden = [
-        ("0x1.0e10c384cc6dap-6", "0x1.5bbda4e88f6ffp-3",
-         (0, "0x1.26a91eb8be402p+1", "0x1.5328e249e8965p+0", False, "0x1.9dc9b5e2a28e7p-5",
-          ("0x1.fe5bcd9bac847p-1", "0x1.85979b191513ap-1", "0x1.00c553342a99fp-1",
-           "0x1.05bb470da45f6p-2"), "-0x1.4123f760617d1p+11"),
-         (199, "0x1.27ae60dc677e0p+1", "0x1.55835a03c6c72p+0", False, "0x1.943c55c97dd7ap-5",
-          ("0x1.0000000000000p+0", "0x1.7f55496c3adcep-1", "0x1.fa49dcb17d0b9p-2",
-           "0x1.017ccb9691ccfp-2"), "-0x1.41d75e00218f6p+11")),
-        ("0x1.23c743a1a3933p-6", "0x1.1d018d9b2233cp-4",
-         (0, "0x1.2d086458adf02p+1", "0x1.02c19e86a3934p+0", True, "0x1.fe7b68f7bfc6fp-2",
-          ("0x1.fba1f02166d8dp-1", "0x1.7ddc6a0a95007p-1", "0x1.fca2255bd1ab5p-2",
-           "0x1.09f11b380ea1ap-2"), "-0x1.f4893162e75fcp+13"),
-         (199, "0x1.278cf02933ce8p+1", "0x1.3605c3a1c1060p+0", True, "0x1.011d5c5618926p-1",
-          ("0x1.0000000000000p+0", "0x1.816916c1e25fap-1", "0x1.0370c8eb458b7p-1",
-           "0x1.f82fb2b8308c0p-3"), "-0x1.f7a95469d6785p+13")),
+        (("0.0164835", "0.169795"),
+         [(0, "0x1.9dc9b5e2a28e7p-5",
+           ("0x1.fe5bcd9bac847p-1", "0x1.85979b191513ap-1", "0x1.00c553342a99fp-1",
+            "0x1.05bb470da45f6p-2"), [159, 98, 79, 35],
+           ("2.30204", "1.32484", "-2569.12"), False),
+          (199, "0x1.943c55c97dd7ap-5",
+           ("0x1.0000000000000p+0", "0x1.7f55496c3adcep-1", "0x1.fa49dcb17d0b9p-2",
+            "0x1.017ccb9691ccfp-2"), [150, 115, 72, 35],
+           ("2.31001", "1.33404", "-2574.73"), False)]),
+        (("0.0178087", "0.0695816"),
+         [(0, "0x1.fe7b68f7bfc6fp-2",
+           ("0x1.fba1f02166d8dp-1", "0x1.7ddc6a0a95007p-1", "0x1.fca2255bd1ab5p-2",
+            "0x1.09f11b380ea1ap-2"), [1240, 1009, 720, 404],
+           ("2.35182", "1.01077", "-16017.1"), True),
+          (199, "0x1.011d5c5618926p-1",
+           ("0x1.0000000000000p+0", "0x1.816916c1e25fap-1", "0x1.0370c8eb458b7p-1",
+            "0x1.f82fb2b8308c0p-3"), [1302, 1040, 742, 337],
+           ("2.30899", "1.21103", "-16117.2"), True)]),
     ]
 
-    def hexed(run):
-        return (run.index, run.trace_est.hex(), run.det_est.hex(), run.det_reliable,
-                run.eta_assumed.hex(), tuple(t.hex() for t in run.t_true),
-                run.log_likelihood_at_max.hex())
+    def g6(*xs):
+        return tuple(format(x, ".6g") for x in xs)
 
-    assert [(r.sigma_trace.hex(), r.sigma_det.hex(), hexed(r.runs[0]), hexed(r.runs[-1]))
-            for r in res] == golden
+    observed = []
+    for k, (eta, point) in enumerate(zip(etas, res)):
+        point_seed = derive_seed(2026, k)
+        ends = [0, 199]
+        rows, _ = _draw_clicks(TRACE0, DET0, replace(cfg, eta_apd=eta),
+                               generators([derive_seed(point_seed, 2 * j) for j in ends]))
+        observed.append((
+            g6(point.sigma_trace, point.sigma_det),
+            [(j, point.runs[j].eta_assumed.hex(), tuple(t.hex() for t in point.runs[j].t_true),
+              row, g6(point.runs[j].trace_est, point.runs[j].det_est,
+                      point.runs[j].log_likelihood_at_max), point.runs[j].det_reliable)
+             for j, row in zip(ends, rows)],
+        ))
+    assert observed == golden
 
 
 class TestEtaSweep:
