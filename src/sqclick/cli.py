@@ -1,21 +1,19 @@
 """Command-line driver: invert, simulate, estimate, sweep, modefit.
 
-File outputs embed a commented provenance manifest; stdout carries the
-plain content so repeated runs with the same seed are byte-identical.
+Every command writes its output through ``_emit``: an ``--output`` file
+(and ``sweep --details``) starts with a commented provenance manifest
+naming the command and its arguments, followed by exactly what stdout
+would carry without ``--output``.  Stdout carries the plain content, so
+repeated runs with the same seed are byte-identical.
 """
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .ensemble import eta_sweep, state_sweep
-from .estimate import (
-    EstimationError,
-    _mode_count,
-    _mode_fit_table,
-    invert_two_point,
-    ml_estimate,
-)
+from .estimate import EstimationError, invert_two_point, ml_estimate, mode_count_fit
 from .gaussian import (
     SqueezerParams,
     UnphysicalStateError,
@@ -74,20 +72,33 @@ def _resolve_state(args):
     return args.trace, args.det, g, h
 
 
-def _emit(path, lines):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+def _emit(args, write, details=None, **fields):
+    """Write a command's output and return its exit code.
+
+    ``write(fh, manifest)`` writes the content: to ``--output`` after the
+    provenance manifest of ``args.command`` and ``fields``, or to stdout
+    without one.  ``details``, a writer of the same kind, writes the
+    ``--details`` file with the same manifest.
+    """
+    manifest = manifest_lines(args.command, __version__, **fields)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            write(fh, manifest)
     else:
-        for line in lines:
-            print(line)
+        write(sys.stdout, [])
+    if details and args.details:
+        with open(args.details, "w", encoding="utf-8") as fh:
+            details(fh, manifest)
+    return EXIT_OK
+
+
+def _lines(lines):
+    """An ``_emit`` writer for 'key = value' lines."""
+    return lambda fh, manifest: fh.writelines(f"{line}\n" for line in manifest + lines)
 
 
 def cmd_invert(args) -> int:
-    eff_t1 = args.eta * args.t1
-    eff_t2 = args.eta * args.t2
-    trace, det = invert_two_point(eff_t1, args.p1, eff_t2, args.p2)
+    trace, det = invert_two_point(args.eta * args.t1, args.p1, args.eta * args.t2, args.p2)
     lines = [f"trace = {fmt(trace)}", f"det = {fmt(det)}"]
     if check_physicality(trace, det):
         qv = variances_from_invariants(trace, det)
@@ -106,31 +117,17 @@ def cmd_invert(args) -> int:
             "warning = unphysical result: 1 <= det <= (trace/2)^2 violated; "
             "derived quantities omitted",
         ]
-    _emit(args.output, lines)
-    return EXIT_OK
+    return _emit(args, _lines(lines), t1=fmt(args.t1), p1=fmt(args.p1), t2=fmt(args.t2),
+                 p2=fmt(args.p2), eta=fmt(args.eta), output=args.output)
 
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     trace, det, g, h = _resolve_state(args)
     records = simulate_run(trace, det, config, args.seed)
-    if args.output:
-        manifest = manifest_lines(
-            "simulate",
-            __version__,
-            config=args.config,
-            seed=args.seed,
-            output=args.output,
-            state_trace=fmt(trace),
-            state_det=fmt(det),
-            state_g=fmt(g),
-            state_h=fmt(h),
-        )
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_click_records(fh, records, manifest)
-    else:
-        write_click_records(sys.stdout, records, [])
-    return EXIT_OK
+    return _emit(args, lambda fh, manifest: write_click_records(fh, records, manifest),
+                 config=args.config, seed=args.seed, output=args.output, state_trace=fmt(trace),
+                 state_det=fmt(det), state_g=fmt(g), state_h=fmt(h))
 
 
 def cmd_estimate(args) -> int:
@@ -143,72 +140,47 @@ def cmd_estimate(args) -> int:
             for r in records
         ]
     est = ml_estimate(records, args.eta)
-    lines = estimate_lines(est)
-    if args.output:
-        manifest = manifest_lines(
-            "estimate", __version__, data=args.data, eta=fmt(args.eta), output=args.output
-        )
-        _emit(args.output, manifest + lines)
-    else:
-        _emit(None, lines)
-    return EXIT_OK
+    return _emit(args, _lines(estimate_lines(est)), data=args.data, eta=fmt(args.eta),
+                 output=args.output)
 
 
 def cmd_sweep(args) -> int:
     mapping = read_key_values(args.config)
     config = config_from_mapping(mapping)
+    if args.exact_knowledge:
+        config = replace(config, t_uncertainty=0.0, eta_rel_uncertainty=0.0)
+    for key in ("state_trace", "state_det", "etas") if args.mode == "eta" else ("states",):
+        if key not in mapping:
+            raise ConfigError(f"{args.mode} sweep config requires key '{key}'")
     if args.mode == "eta":
-        for key in ("state_trace", "state_det", "etas"):
-            if key not in mapping:
-                raise ConfigError(f"eta sweep config requires key '{key}'")
         results = eta_sweep(
             _parse_float(mapping, "state_trace"),
             _parse_float(mapping, "state_det"),
             config,
             _parse_float_list(mapping["etas"], "etas"),
             args.runs,
-            with_uncertainties=not args.exact_knowledge,
+            with_uncertainties=True,  # --exact-knowledge has zeroed them in config
             seed=args.seed,
         )
     else:
-        if "states" not in mapping:
-            raise ConfigError("state sweep config requires key 'states'")
-        states = parse_states(mapping["states"])
-        results = state_sweep(states, config, args.runs, args.seed)
-    manifest = manifest_lines(
-        "sweep",
-        __version__,
-        config=args.config,
-        mode=args.mode,
-        seed=args.seed,
-        output=args.output,
-        runs=args.runs,
-        exact_knowledge=args.exact_knowledge,
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_sweep(fh, results, manifest)
-    else:
-        write_sweep(sys.stdout, results, [])
-    if args.details:
-        with open(args.details, "w", encoding="utf-8") as fh:
-            write_run_details(fh, results, manifest)
-    return EXIT_OK
+        results = state_sweep(parse_states(mapping["states"]), config, args.runs, args.seed)
+    return _emit(args, lambda fh, manifest: write_sweep(fh, results, manifest),
+                 details=lambda fh, manifest: write_run_details(fh, results, manifest),
+                 config=args.config, mode=args.mode, seed=args.seed, output=args.output,
+                 runs=args.runs, exact_knowledge=args.exact_knowledge)
 
 
 def cmd_modefit(args) -> int:
-    samples = read_mode_samples(args.data)
-    rows = _mode_fit_table(samples, args.max_modes)
+    rows, n_modes = mode_count_fit(read_mode_samples(args.data), args.max_modes)
     lines = []
     for _m, degree, rss, chi2_dof in rows:
         lines.append(f"degree_{degree}_rss = {fmt(rss)}")
         lines.append(f"degree_{degree}_chi2_per_dof = {fmt(chi2_dof)}")
-    n_modes = _mode_count(rows, args.max_modes)
     lines.append(f"n_modes = {n_modes}")
     if n_modes == 0:
         lines.append("signal = none")
-    _emit(args.output, lines)
-    return EXIT_OK
+    return _emit(args, _lines(lines), data=args.data, max_modes=args.max_modes,
+                 output=args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exact-knowledge",
         action="store_true",
-        help="zero the calibration uncertainties (eta mode)",
+        help="zero the calibration uncertainties",
     )
     p.add_argument("--output", help="write the sweep table here instead of stdout")
     p.add_argument("--details", help="also write per-run artifacts to this file")
@@ -282,15 +254,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # every sqclick error is a ValueError
         print(f"sqclick: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except EstimationError as exc:
-        print(f"sqclick: error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except (UnphysicalStateError, ValueError) as exc:
-        print(f"sqclick: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        if isinstance(exc, (ConfigError, OSError)):
+            return EXIT_PARSE
+        return EXIT_ESTIMATION if isinstance(exc, EstimationError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -461,26 +461,24 @@ def _mode_fit_table(samples, max_modes):
             for m, (rss, chi2) in enumerate(fits, start=1)]
 
 
-def _mode_count(rows, max_modes):
-    """Smallest mode count among _mode_fit_table rows with chi^2/dof < 2; 0 without rows."""
-    if not rows:
-        return 0
-    for m, _deg, _rss, chi2_dof in rows:
-        if chi2_dof < 2.0:
-            return m
-    raise EstimationError(
-        f"no mode count up to {max_modes} fits the samples (min chi2/dof = "
-        f"{min(r[3] for r in rows):.3g})"
-    )
-
-
-def mode_count_fit(samples: list, max_modes: int) -> int:
+def mode_count_fit(samples: list, max_modes: int) -> tuple[list, int]:
     """Smallest number of Gaussian modes consistent with P(eff_t) samples.
 
     For N modes, 1/P^2 is a polynomial of degree 2N in the effective
     transmittance with value 1 at zero; the fit therefore models
-    4/p^2 - 4 without a constant term and returns the smallest N whose
-    chi^2 per degree of freedom is below 2.  Identically-vacuum samples
-    (p = 1 everywhere) return 0: no signal to fit.
+    4/p^2 - 4 without a constant term and picks the smallest N whose
+    chi^2 per degree of freedom is below 2.  Returns the fit rows, one
+    (n_modes, degree, rss, chi2_per_dof) per candidate N, and that N.
+    Identically-vacuum samples (p = 1 everywhere) give no rows and N = 0:
+    no signal to fit.
     """
-    return _mode_count(_mode_fit_table(samples, max_modes), max_modes)
+    rows = _mode_fit_table(samples, max_modes)
+    if not rows:
+        return rows, 0
+    for m, _deg, _rss, chi2_dof in rows:
+        if chi2_dof < 2.0:
+            return rows, m
+    raise EstimationError(
+        f"no mode count up to {max_modes} fits the samples (min chi2/dof = "
+        f"{min(r[3] for r in rows):.3g})"
+    )

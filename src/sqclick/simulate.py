@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"rep_rate * duration = {pulses} pulses per setting exceeds {_MAX_TRIALS}"
             )
+        if round(pulses) < 1:
+            raise ValueError(f"rep_rate * duration = {pulses} pulses per setting rounds to 0")
         if not self.transmittances:
             raise ValueError("at least one transmittance setting is required")
         if any(not 0.0 <= t <= 1.0 for t in self.transmittances):

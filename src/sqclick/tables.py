@@ -23,32 +23,40 @@ def fmt(x) -> str:
 
 def manifest_lines(command: str, version: str, **fields) -> list:
     """Commented provenance block embedded at the top of every output file."""
-    lines = [
-        "# sqclick manifest",
-        f"# command = {command}",
-        f"# version = {version}",
-    ]
-    for key, value in fields.items():
-        lines.append(f"# {key} = {value}")
-    lines.append(
-        "# created = "
-        + datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    )
-    return lines
+    created = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return ["# sqclick manifest", f"# command = {command}", f"# version = {version}",
+            *(f"# {key} = {value}" for key, value in fields.items()), f"# created = {created}"]
+
+
+def _data_lines(path, header=None):
+    """Yield (lineno, stripped line, raw line) for each data line of a text file.
+
+    Blank lines, '#' comment lines and lines starting with ``header`` are
+    skipped.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#") and not (header and line.startswith(header)):
+                yield lineno, line, raw
+
+
+def _write_table(fh, manifest, header, rows):
+    """Manifest lines, the header row, then one comma-separated line per row."""
+    for line in [*manifest, header]:
+        fh.write(line + "\n")
+    for row in rows:
+        fh.write(",".join(row) + "\n")
 
 
 def read_key_values(path) -> dict:
     """Parse a 'key = value' file; '#' starts a comment, blank lines ignored."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for lineno, line, raw in _data_lines(path):
+        key, eq, value = line.split("#", 1)[0].partition("=")
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        mapping[key.strip()] = value.strip()
     return mapping
 
 
@@ -117,37 +125,24 @@ def parse_states(text: str) -> list:
 
 
 def write_click_records(fh, records, manifest: list):
-    for line in manifest:
-        fh.write(line + "\n")
-    fh.write("t_nominal,trials,clicks,dark_subtracted\n")
-    for r in records:
-        fh.write(
-            f"{fmt(r.t_nominal)},{r.trials},{r.clicks},{int(r.dark_subtracted)}\n"
-        )
+    _write_table(fh, manifest, "t_nominal,trials,clicks,dark_subtracted", (
+        (fmt(r.t_nominal), str(r.trials), str(r.clicks), str(int(r.dark_subtracted)))
+        for r in records
+    ))
 
 
 def read_click_records(path) -> list:
     """Read a click table; comment lines and the header row are skipped."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("t_nominal"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ConfigError(f"{path}:{lineno}: expected 4 comma-separated fields")
-            try:
-                records.append(
-                    ClickRecord(
-                        t_nominal=float(parts[0]),
-                        trials=int(parts[1]),
-                        clicks=int(parts[2]),
-                        dark_subtracted=bool(int(parts[3])),
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line, _raw in _data_lines(path, "t_nominal"):
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ConfigError(f"{path}:{lineno}: expected 4 comma-separated fields")
+        try:
+            records.append(ClickRecord(float(parts[0]), int(parts[1]), int(parts[2]),
+                                       bool(int(parts[3]))))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not records:
         raise ConfigError(f"{path}: no click records found")
     return records
@@ -168,84 +163,42 @@ def estimate_lines(est) -> list:
     ]
 
 
-SWEEP_HEADER = (
-    "trace_true,det_true,eta,n_runs,sigma_trace,sigma_det,"
-    "mean_trace_est,mean_det_est,fraction_det_reliable"
-)
-
-
-def sweep_row(res) -> str:
-    return ",".join(
-        [
-            fmt(res.trace_true),
-            fmt(res.det_true),
-            fmt(res.eta),
-            str(res.n_runs),
-            fmt(res.sigma_trace),
-            fmt(res.sigma_det),
-            fmt(res.mean_trace_est),
-            fmt(res.mean_det_est),
-            fmt(res.fraction_det_reliable),
-        ]
-    )
-
-
 def write_sweep(fh, results, manifest: list):
-    for line in manifest:
-        fh.write(line + "\n")
-    fh.write(SWEEP_HEADER + "\n")
-    for res in results:
-        fh.write(sweep_row(res) + "\n")
-
-
-RUNS_HEADER = (
-    "trace_true,det_true,eta,run_index,trace_est,det_est,det_reliable,"
-    "eta_assumed,log_likelihood_at_max"
-)
+    _write_table(
+        fh, manifest,
+        "trace_true,det_true,eta,n_runs,sigma_trace,sigma_det,"
+        "mean_trace_est,mean_det_est,fraction_det_reliable",
+        ((fmt(res.trace_true), fmt(res.det_true), fmt(res.eta), str(res.n_runs),
+          fmt(res.sigma_trace), fmt(res.sigma_det), fmt(res.mean_trace_est),
+          fmt(res.mean_det_est), fmt(res.fraction_det_reliable))
+         for res in results),
+    )
 
 
 def write_run_details(fh, results, manifest: list):
     """Per-run artifacts of each ensemble, for post-hoc recomputation."""
-    for line in manifest:
-        fh.write(line + "\n")
-    fh.write(RUNS_HEADER + "\n")
-    for res in results:
-        for run in res.runs:
-            fh.write(
-                ",".join(
-                    [
-                        fmt(res.trace_true),
-                        fmt(res.det_true),
-                        fmt(res.eta),
-                        str(run.index),
-                        fmt(run.trace_est),
-                        fmt(run.det_est),
-                        str(int(run.det_reliable)),
-                        fmt(run.eta_assumed),
-                        fmt(run.log_likelihood_at_max),
-                    ]
-                )
-                + "\n"
-            )
+    _write_table(
+        fh, manifest,
+        "trace_true,det_true,eta,run_index,trace_est,det_est,det_reliable,"
+        "eta_assumed,log_likelihood_at_max",
+        ((fmt(res.trace_true), fmt(res.det_true), fmt(res.eta), str(run.index),
+          fmt(run.trace_est), fmt(run.det_est), str(int(run.det_reliable)),
+          fmt(run.eta_assumed), fmt(run.log_likelihood_at_max))
+         for res in results for run in res.runs),
+    )
 
 
 def read_mode_samples(path) -> list:
     """Read (eff_t, p[, sigma_p]) rows for the mode-count diagnostic."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("eff_t"):
-                continue
-            parts = [tok for tok in line.replace(",", " ").split() if tok]
-            if len(parts) not in (2, 3):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'eff_t p [sigma_p]', got {raw!r}"
-                )
-            try:
-                samples.append(tuple(float(tok) for tok in parts))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line, raw in _data_lines(path, "eff_t"):
+        parts = line.replace(",", " ").split()
+        if len(parts) not in (2, 3):
+            raise ConfigError(f"{path}:{lineno}: expected 'eff_t p [sigma_p]', got {raw!r}")
+        try:
+            samples.append(tuple(float(tok) for tok in parts))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not samples:
         raise ConfigError(f"{path}: no samples found")
     return samples

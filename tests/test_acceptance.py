@@ -28,7 +28,6 @@ from sqclick import (
     trace_det_from_squeezer,
 )
 from sqclick.cli import main
-from sqclick.estimate import _mode_fit_table
 
 TRACE0, DET0 = 2.321, 1.156
 REP_RATE = 780400.0
@@ -205,8 +204,8 @@ def test_criterion_09_mode_count_diagnostic():
     """Exact single-mode and two-mode data resolve to N=1 and N=2."""
     ts = np.linspace(0.05, 0.9, 12)
     single = [(t, no_click_from_invariants(TRACE0, DET0, t)) for t in ts]
-    assert mode_count_fit(single, 3) == 1
-    rows1 = _mode_fit_table(single, 3)
+    rows1, n_single = mode_count_fit(single, 3)
+    assert n_single == 1
     rss_single = dict((r[0], r[2]) for r in rows1)[1]
     assert rss_single < 1e-20
 
@@ -218,8 +217,8 @@ def test_criterion_09_mode_count_diagnostic():
         )
         for t in ts
     ]
-    assert mode_count_fit(two, 3) == 2
-    rows2 = _mode_fit_table(two, 3)
+    rows2, n_two = mode_count_fit(two, 3)
+    assert n_two == 2
     rss_two = dict((r[0], r[2]) for r in rows2)[2]
     assert rss_two < 1e-20
     print(f"PASS criterion 9: mode diagnostic N=1 (rss {rss_single:.1e}) and "

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sqclick import cli, estimate, no_click_from_invariants
+from sqclick import estimate, no_click_from_invariants
 from sqclick.cli import main
 
 TRACE0, DET0 = 2.321, 1.156
@@ -210,6 +210,15 @@ class TestSimulate:
         ) == 2
         assert "pulses per setting exceeds" in capsys.readouterr().err
 
+    def test_pulse_count_rounding_to_zero_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG.replace("rep_rate_hz = 780400", "rep_rate_hz = 1")
+                        .replace("duration_s = 100", "duration_s = 0.2"))
+        assert main(
+            ["simulate", "--config", str(path), "--trace", "2.5", "--det", "1", "--seed", "1"]
+        ) == 2
+        assert "pulses per setting rounds to 0" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self):
         assert main(
             ["simulate", "--config", "/nonexistent.cfg", "--trace", "2.5", "--det", "1",
@@ -370,11 +379,12 @@ class TestSweep:
         assert main(argv) == 0
         assert strip_created(path.read_text()) == first
 
-    def test_exact_knowledge_flag_changes_results(self, sweep_config, capsys):
-        main(["sweep", "--config", sweep_config, "--mode", "eta", "--seed", "1",
+    @pytest.mark.parametrize("mode", ["eta", "state"])
+    def test_exact_knowledge_flag_changes_results(self, sweep_config, capsys, mode):
+        main(["sweep", "--config", sweep_config, "--mode", mode, "--seed", "1",
               "--runs", "2", "--exact-knowledge"])
         exact = capsys.readouterr().out
-        main(["sweep", "--config", sweep_config, "--mode", "eta", "--seed", "1",
+        main(["sweep", "--config", sweep_config, "--mode", mode, "--seed", "1",
               "--runs", "2"])
         noisy = capsys.readouterr().out
         assert exact != noisy
@@ -447,7 +457,6 @@ class TestModefit:
             return original(*args)
 
         monkeypatch.setattr(estimate, "_mode_fit_table", counted)
-        monkeypatch.setattr(cli, "_mode_fit_table", counted)
         assert main(["modefit", "--data", self._write_samples(tmp_path), "--max-modes", "3"]) == 0
         assert len(calls) == 1
 
@@ -464,3 +473,40 @@ class TestModefit:
         path = tmp_path / "few.csv"
         path.write_text("0.1,0.99\n0.2,0.97\n0.3,0.95\n")
         assert main(["modefit", "--data", str(path), "--max-modes", "3"]) == 4
+
+
+def command_argv(command, tmp_path):
+    """argv of a successful run of ``command``, with its input files under tmp_path."""
+    config = tmp_path / "experiment.cfg"
+    config.write_text(SWEEP_CONFIG)
+    simulate = ["simulate", "--config", str(config), "--trace", "2.321", "--det", "1.156",
+                "--seed", "3"]
+    if command == "simulate":
+        return simulate
+    if command == "estimate":
+        clicks = tmp_path / "clicks.csv"
+        assert main(simulate + ["--output", str(clicks)]) == 0
+        return ["estimate", "--data", str(clicks), "--eta", "0.5"]
+    if command == "invert":
+        return ["invert", "--t1", "0.5", "--p1", "0.96676", "--t2", "0.25", "--p2", "0.98294"]
+    if command == "sweep":
+        return ["sweep", "--config", str(config), "--mode", "eta", "--seed", "1", "--runs", "2"]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("".join(f"{t},{no_click_from_invariants(TRACE0, DET0, t)!r}\n"
+                               for t in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)))
+    return ["modefit", "--data", str(samples), "--max-modes", "3"]
+
+
+@pytest.mark.parametrize("command", ["invert", "simulate", "estimate", "sweep", "modefit"])
+def test_output_file_is_manifest_then_stdout(command, tmp_path, capsys):
+    argv = command_argv(command, tmp_path)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert main(argv + ["--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = path.read_text().splitlines(keepends=True)
+    n_manifest = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    assert lines[0] == "# sqclick manifest\n"
+    assert f"# command = {command}\n" in lines[:n_manifest]
+    assert "".join(lines[n_manifest:]) == stdout

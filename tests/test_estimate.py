@@ -533,7 +533,7 @@ class TestModeCountFit:
         return [(t, a * b) for t, a, b in zip(self.TS, pa, pb)]
 
     def test_single_mode(self):
-        assert mode_count_fit(self.single_mode_samples(), 3) == 1
+        assert mode_count_fit(self.single_mode_samples(), 3)[1] == 1
 
     @staticmethod
     def z_scale(samples):
@@ -546,7 +546,7 @@ class TestModeCountFit:
         assert rows[0][2] < 1e-18 * scale**2 * len(self.TS) + 1e-20
 
     def test_two_mode_product(self):
-        assert mode_count_fit(self.two_mode_samples(), 3) == 2
+        assert mode_count_fit(self.two_mode_samples(), 3)[1] == 2
 
     def test_two_mode_residuals(self):
         samples = self.two_mode_samples()
@@ -557,7 +557,7 @@ class TestModeCountFit:
 
     def test_vacuum_flags_no_signal(self):
         samples = [(t, 1.0) for t in self.TS]
-        assert mode_count_fit(samples, 3) == 0
+        assert mode_count_fit(samples, 3) == ([], 0)
 
     def test_noisy_single_mode_with_errors(self):
         rng = np.random.default_rng(5)
@@ -566,7 +566,7 @@ class TestModeCountFit:
             (t, p + rng.normal(0.0, sigma_p), sigma_p)
             for t, p in self.single_mode_samples()
         ]
-        assert mode_count_fit(samples, 3) == 1
+        assert mode_count_fit(samples, 3)[1] == 1
 
     def test_underdetermined_rejected(self):
         with pytest.raises(EstimationError):
