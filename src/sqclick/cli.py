@@ -16,16 +16,16 @@ from .ensemble import eta_sweep, state_sweep
 from .estimate import EstimationError, invert_two_point, ml_estimate, mode_count_fit
 from .gaussian import (
     SqueezerParams,
-    UnphysicalStateError,
+    _require_physical,
+    _state_summary,
     check_physicality,
-    gain_bounds_from_trace,
     squeezer_from_trace_det,
     trace_det_from_squeezer,
-    variances_from_invariants,
 )
 from .simulate import simulate_run, subtract_dark
 from .tables import (
     ConfigError,
+    _key_value_lines,
     _parse_float,
     _parse_float_list,
     config_from_mapping,
@@ -64,20 +64,17 @@ def _resolve_state(args):
     if has_gh:
         trace, det = trace_det_from_squeezer(SqueezerParams(g=args.g, h=args.h))
         return trace, det, args.g, args.h
-    if not check_physicality(args.trace, args.det):
-        raise UnphysicalStateError(
-            f"(trace, det) = ({args.trace}, {args.det}) is unphysical"
-        )
+    _require_physical(args.trace, args.det)
     g, h = squeezer_from_trace_det(args.trace, args.det)
     return args.trace, args.det, g, h
 
 
-def _emit(args, write, details=None, **fields):
+def _emit(args, write, write_details=None, **fields):
     """Write a command's output and return its exit code.
 
     ``write(fh, manifest)`` writes the content: to ``--output`` after the
     provenance manifest of ``args.command`` and ``fields``, or to stdout
-    without one.  ``details``, a writer of the same kind, writes the
+    without one.  ``write_details``, a writer of the same kind, writes the
     ``--details`` file with the same manifest.
     """
     manifest = manifest_lines(args.command, __version__, **fields)
@@ -86,9 +83,9 @@ def _emit(args, write, details=None, **fields):
             write(fh, manifest)
     else:
         write(sys.stdout, [])
-    if details and args.details:
+    if write_details and args.details:
         with open(args.details, "w", encoding="utf-8") as fh:
-            details(fh, manifest)
+            write_details(fh, manifest)
     return EXIT_OK
 
 
@@ -99,24 +96,13 @@ def _lines(lines):
 
 def cmd_invert(args) -> int:
     trace, det = invert_two_point(args.eta * args.t1, args.p1, args.eta * args.t2, args.p2)
-    lines = [f"trace = {fmt(trace)}", f"det = {fmt(det)}"]
-    if check_physicality(trace, det):
-        qv = variances_from_invariants(trace, det)
-        g_max, h_max = gain_bounds_from_trace(max(trace, 2.0))
-        lines += [
-            "physical = true",
-            f"vmin = {fmt(qv.vmin)}",
-            f"vmax = {fmt(qv.vmax)}",
-            f"purity = {fmt(det ** -0.5)}",
-            f"g_max_bound = {fmt(g_max)}",
-            f"h_max_bound = {fmt(h_max)}",
-        ]
+    physical = check_physicality(trace, det)
+    lines = _key_value_lines(trace=trace, det=det, physical=physical)
+    if physical:
+        lines += _key_value_lines(**_state_summary(trace, det))
     else:
-        lines += [
-            "physical = false",
-            "warning = unphysical result: 1 <= det <= (trace/2)^2 violated; "
-            "derived quantities omitted",
-        ]
+        lines.append("warning = unphysical result: 1 <= det <= (trace/2)^2 violated; "
+                     "derived quantities omitted")
     return _emit(args, _lines(lines), t1=fmt(args.t1), p1=fmt(args.p1), t2=fmt(args.t2),
                  p2=fmt(args.p2), eta=fmt(args.eta), output=args.output)
 
@@ -141,6 +127,8 @@ def cmd_estimate(args) -> int:
         ]
     est = ml_estimate(records, args.eta)
     return _emit(args, _lines(estimate_lines(est)), data=args.data, eta=fmt(args.eta),
+                 dark_rate=fmt(args.dark_rate),
+                 duration=None if args.duration is None else fmt(args.duration),
                  output=args.output)
 
 
@@ -165,18 +153,17 @@ def cmd_sweep(args) -> int:
     else:
         results = state_sweep(parse_states(mapping["states"]), config, args.runs, args.seed)
     return _emit(args, lambda fh, manifest: write_sweep(fh, results, manifest),
-                 details=lambda fh, manifest: write_run_details(fh, results, manifest),
+                 write_details=lambda fh, manifest: write_run_details(fh, results, manifest),
                  config=args.config, mode=args.mode, seed=args.seed, output=args.output,
-                 runs=args.runs, exact_knowledge=args.exact_knowledge)
+                 details=args.details, runs=args.runs, exact_knowledge=args.exact_knowledge)
 
 
 def cmd_modefit(args) -> int:
     rows, n_modes = mode_count_fit(read_mode_samples(args.data), args.max_modes)
-    lines = []
+    fields = {}
     for _m, degree, rss, chi2_dof in rows:
-        lines.append(f"degree_{degree}_rss = {fmt(rss)}")
-        lines.append(f"degree_{degree}_chi2_per_dof = {fmt(chi2_dof)}")
-    lines.append(f"n_modes = {n_modes}")
+        fields |= {f"degree_{degree}_rss": rss, f"degree_{degree}_chi2_per_dof": chi2_dof}
+    lines = _key_value_lines(**fields, n_modes=n_modes)
     if n_modes == 0:
         lines.append("signal = none")
     return _emit(args, _lines(lines), data=args.data, max_modes=args.max_modes,

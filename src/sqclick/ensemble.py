@@ -9,13 +9,15 @@ Seeding: run k of an ensemble uses the pair of derived seeds
 ``derive_seed(master, 2k)`` (data acquisition) and
 ``derive_seed(master, 2k + 1)`` (efficiency knowledge), where
 ``derive_seed`` is a SplitMix64 mix of the master seed and the index,
-and each seed ``s`` drives ``np.random.default_rng(s)``.  Sweeps derive
-one master per sweep point the same way.  Results are therefore identical
-no matter how runs are scheduled, and run k of an ensemble draws exactly
-what ``simulate_run`` and ``perturbed_eta`` draw from its two seeds.  An
-ensemble builds its Generators from one vectorised pass of numpy's
-SeedSequence hash over all its seeds (``_seeding``), which gives the
-same streams as ``default_rng`` at a fraction of the cost per run.
+and each seed ``s`` drives ``np.random.default_rng(s)``.  Both sweeps run
+one loop that gives point k the master ``derive_seed(seed, k)``.  Results
+are therefore identical no matter how runs are scheduled, and run k of an
+ensemble draws exactly what ``simulate_run`` and ``perturbed_eta`` draw
+from its two seeds.  An ensemble builds its Generators from one
+vectorised pass of numpy's SeedSequence hash over all its seeds
+(``_seeding``), which gives the same streams as ``default_rng`` at a
+fraction of the cost per run.  Like ``ml_estimate``, an ensemble rejects
+an assumed efficiency below 1e-12.
 """
 
 import math
@@ -141,15 +143,10 @@ def eta_sweep(
     """
     if not etas:
         raise ValueError("etas must be non-empty")
-    results = []
-    for k, eta in enumerate(etas):
-        cfg = replace(base_config, eta_apd=eta)
-        if not with_uncertainties:
-            cfg = replace(cfg, t_uncertainty=0.0, eta_rel_uncertainty=0.0)
-        results.append(
-            run_ensemble(trace_true, det_true, cfg, n_runs, derive_seed(seed, k))
-        )
-    return results
+    if not with_uncertainties:
+        base_config = replace(base_config, t_uncertainty=0.0, eta_rel_uncertainty=0.0)
+    return _sweep(((trace_true, det_true, replace(base_config, eta_apd=eta)) for eta in etas),
+                  n_runs, seed)
 
 
 def state_sweep(
@@ -161,9 +158,11 @@ def state_sweep(
     """One ensemble per true state, at the config's fixed efficiency."""
     if not states:
         raise ValueError("states must be non-empty")
-    results = []
-    for k, (trace_true, det_true) in enumerate(states):
-        results.append(
-            run_ensemble(trace_true, det_true, config, n_runs, derive_seed(seed, k))
-        )
-    return results
+    return _sweep(((trace, det, config) for trace, det in states), n_runs, seed)
+
+
+def _sweep(points, n_runs, seed):
+    """One ensemble per (trace_true, det_true, config) point, point k seeded by
+    ``derive_seed(seed, k)``; ``run_ensemble`` is looked up at each call."""
+    return [run_ensemble(trace, det, config, n_runs, derive_seed(seed, k))
+            for k, (trace, det, config) in enumerate(points)]

@@ -31,11 +31,11 @@ from .gaussian import (
     SqueezerParams,
     UnphysicalStateError,
     _bs_gram_excess,
+    _require_physical,
+    _state_summary,
     check_physicality,
-    gain_bounds_from_trace,
-    variances_from_invariants,
 )
-from .simulate import expected_click_rate
+from .simulate import _ETA_FLOOR, expected_click_rate
 
 # Two transmittances closer than this give a numerically meaningless inversion.
 DEGENERATE_T_TOL = 1e-6
@@ -52,19 +52,19 @@ class EstimationError(ValueError):
     """Data insufficient or degenerate for the requested estimate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Estimate:
-    """Recovered invariants plus the physical quantities they determine."""
+    """Recovered invariants plus the physical quantities they determine, in record order."""
 
     trace: float
     det: float
     det_reliable: bool
-    log_likelihood_at_max: float
     vmin: float
     vmax: float
     purity: float
     g_max_bound: float
     h_max_bound: float
+    log_likelihood_at_max: float
 
 
 @dataclass
@@ -122,10 +122,13 @@ def sensitivity(p1: float, eta: float) -> tuple[float, float]:
 
 
 def _check_etas(etas):
-    """Raise ValueError at the first assumed efficiency outside (0, 1]."""
+    """Raise ValueError at the first assumed efficiency outside (0, 1] or below
+    the efficiency floor, where the solver's arithmetic overflows."""
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta_assumed = {eta} outside (0, 1]")
+        if eta < _ETA_FLOOR:
+            raise ValueError(f"eta_assumed = {eta} below the efficiency floor {_ETA_FLOOR}")
 
 
 def _setting_arrays(runs, etas):
@@ -174,8 +177,7 @@ def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> 
     if not data:
         raise EstimationError("no click records supplied")
     eff, ns, cs = _setting_arrays([data], [eta_assumed])
-    if not check_physicality(trace, det):
-        raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
+    _require_physical(trace, det)
     return float(_loglike(trace, det, eff, ns, cs)[0])
 
 
@@ -189,26 +191,10 @@ def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> LikelihoodGrid:
     det_axis = np.asarray(det_axis, dtype=float)
     tr = trace_axis[:, None]
     dt = det_axis[None, :]
-    excluded = (dt > 0.25 * tr * tr + PHYS_TOL) | (dt < 1.0 - PHYS_TOL)
+    excluded = ~check_physicality(tr, dt)
     log_l = _loglike(tr[..., None], dt[..., None], *_setting_arrays([data], [eta_assumed]))
     log_l = np.where(excluded, -np.inf, log_l)
     return LikelihoodGrid(trace_axis, det_axis, log_l, excluded)
-
-
-def _finish_estimate(trace, det, det_reliable, log_l) -> Estimate:
-    qv = variances_from_invariants(trace, det)
-    g_max, h_max = gain_bounds_from_trace(max(trace, 2.0))
-    return Estimate(
-        trace=trace,
-        det=det,
-        det_reliable=det_reliable,
-        log_likelihood_at_max=log_l,
-        vmin=qv.vmin,
-        vmax=qv.vmax,
-        purity=1.0 / math.sqrt(det),
-        g_max_bound=g_max,
-        h_max_bound=h_max,
-    )
 
 
 def _solve2(h11, h12, h22, g1, g2):
@@ -339,6 +325,8 @@ def _ml_solve(eff, ns, cs):
                     eff[:, None], ns[:, None], cs[:, None])
     pinned = top - 1.0 < 1e-9  # det is fixed by the constraints
     reliable[live] = pinned | (log_l[live] - ends.min(-1) >= FLATNESS_NATS)
+    if not np.isfinite([trace, det, log_l]).all():
+        raise EstimationError("the likelihood maximum is not finite at this efficiency")
     return trace, det, reliable, log_l
 
 
@@ -367,7 +355,8 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     """
     solved = _ml_solve(*_setting_arrays([data], [eta_assumed]))
     trace, det, reliable, log_l = (x.item() for x in solved)
-    return _finish_estimate(trace, det, reliable, log_l)
+    return Estimate(trace=trace, det=det, det_reliable=reliable, **_state_summary(trace, det),
+                    log_likelihood_at_max=log_l)
 
 
 def classical_estimate(gain_min: float, gain_max: float) -> SqueezerParams:
@@ -412,7 +401,7 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
     if np.max(preds) <= 0.0:
         raise EstimationError("all calibration points are at vacuum gain; eta undetermined")
     eta = float(np.dot(rates, preds) / np.dot(preds, preds))
-    return min(max(eta, 1e-12), 1.0)
+    return min(max(eta, _ETA_FLOOR), 1.0)
 
 
 def _mode_fit_table(samples, max_modes):

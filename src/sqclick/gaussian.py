@@ -214,10 +214,7 @@ def no_click_from_invariants(trace: float, det: float, eff_t: float) -> float:
     reflection.  P = 2/sqrt(eff_t^2*det + eff_t*(2-eff_t)*trace +
     (2-eff_t)^2), evaluated in a cancellation-free grouping.
     """
-    if not 0.0 <= eff_t <= 1.0:
-        raise ValueError(f"effective transmittance {eff_t} outside [0, 1]")
-    if not check_physicality(trace, det):
-        raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
+    _check_click_args(trace, det, eff_t)
     u = _bs_gram_excess(trace, det, eff_t)
     return 2.0 / math.sqrt(4.0 + max(u, 0.0))
 
@@ -228,11 +225,14 @@ def click_probability_from_invariants(trace: float, det: float, eff_t: float) ->
     1 - 2/sqrt(4+u) = u / (sqrt(4+u)*(sqrt(4+u)+2)); accurate even when
     the click probability is parts-per-million.
     """
+    _check_click_args(trace, det, eff_t)
+    return _click_probability(trace, det, eff_t)
+
+
+def _check_click_args(trace, det, eff_t):
     if not 0.0 <= eff_t <= 1.0:
         raise ValueError(f"effective transmittance {eff_t} outside [0, 1]")
-    if not check_physicality(trace, det):
-        raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
-    return _click_probability(trace, det, eff_t)
+    _require_physical(trace, det)
 
 
 def _click_probability(trace, det, eff_t):
@@ -260,7 +260,19 @@ def gain_bounds_from_trace(trace: float) -> tuple[float, float]:
 
 
 def check_physicality(trace: float, det: float) -> bool:
-    """True iff 1 <= det <= (trace/2)^2 within PHYS_TOL."""
-    if det < 1.0 - PHYS_TOL:
-        return False
-    return det <= 0.25 * trace * trace + PHYS_TOL
+    """True iff 1 <= det <= (trace/2)^2 within PHYS_TOL; elementwise on numpy arrays."""
+    return (det >= 1.0 - PHYS_TOL) & (det <= 0.25 * trace * trace + PHYS_TOL)
+
+
+def _require_physical(trace, det):
+    """Raise UnphysicalStateError unless check_physicality(trace, det)."""
+    if not check_physicality(trace, det):
+        raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
+
+
+def _state_summary(trace, det) -> dict:
+    """vmin, vmax, purity and the gain bounds of a physical (trace, det), in record order."""
+    qv = variances_from_invariants(trace, det)
+    g_max, h_max = gain_bounds_from_trace(max(trace, 2.0))
+    return dict(vmin=qv.vmin, vmax=qv.vmax, purity=1.0 / math.sqrt(det),
+                g_max_bound=g_max, h_max_bound=h_max)

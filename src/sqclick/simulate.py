@@ -17,13 +17,15 @@ import numpy as np
 
 from .gaussian import (
     SqueezerParams,
-    UnphysicalStateError,
     _click_probability,
-    check_physicality,
+    _require_physical,
 )
 
 # numpy draws binomials with an int64 trial count.
 _MAX_TRIALS = 2**63 - 1
+
+# Smallest efficiency the estimator accepts, and the clip of the drawn ones.
+_ETA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,7 @@ def _draw_clicks(trace, det, config, rngs):
     setting, the true transmittance (when t_uncertainty > 0), the clicks
     and the dark counts (when dark_rate > 0), in that order.
     """
-    if not check_physicality(trace, det):
-        raise UnphysicalStateError(f"(trace, det) = ({trace}, {det}) is unphysical")
+    _require_physical(trace, det)
     n, eta, sigma = config.n_trials, config.eta_apd, config.t_uncertainty
     dark = config.dark_rate * config.duration if config.dark_rate > 0.0 else None
     nominal = config.transmittances
@@ -160,10 +161,9 @@ def _expected_dark(dark_rate, duration) -> int:
 
 def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> ClickRecord:
     """Remove the expected dark-count total, flooring at zero clicks."""
-    if not (dark_rate >= 0.0 and duration > 0.0):
-        raise ValueError(
-            f"dark_rate = {dark_rate} must be >= 0 and duration = {duration} > 0"
-        )
+    if not (dark_rate >= 0.0 and duration > 0.0 and math.isfinite(dark_rate * duration)):
+        raise ValueError(f"need dark_rate >= 0 and duration > 0 with a finite product, "
+                         f"got dark_rate = {dark_rate}, duration = {duration}")
     if record.dark_subtracted:
         raise ValueError("dark counts already subtracted from this record")
     return ClickRecord(
@@ -189,6 +189,6 @@ def _draw_etas(config, rngs):
     """perturbed_eta's value, one per Generator in ``rngs``."""
     return [
         float(min(max(config.eta_apd * (1.0 + rng.normal(0.0, config.eta_rel_uncertainty)),
-                      1e-12), 1.0))
+                      _ETA_FLOOR), 1.0))
         for rng in rngs
     ]

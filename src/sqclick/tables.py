@@ -1,12 +1,16 @@
 """Text interchange: config files, click tables, estimate records, sweep tables.
 
-All numeric output is written at 12 significant digits.  Tabular files
-are comma-separated with a single header row preceded by a commented
-manifest block; readers skip every line starting with '#', so any file
-written here round-trips through the corresponding reader.
+Numbers are written at 12 significant digits, integers exactly.  Tabular
+files are comma-separated with a single header row preceded by a commented
+manifest block; each writer names its columns once, and that list gives the
+header and picks each row's values.  Records are 'key = value' lines from
+one formatter (bools as true/false).  Readers skip every line starting with
+'#', so any file written here round-trips through the corresponding reader.
 """
 
 import datetime
+import numbers
+from dataclasses import asdict
 
 from .simulate import ClickRecord, ExperimentConfig
 
@@ -18,7 +22,14 @@ class ConfigError(ValueError):
 
 
 def fmt(x) -> str:
-    return FMT % x
+    """A number as written: integers exactly (bools as 0/1), others at FMT."""
+    return str(int(x)) if isinstance(x, numbers.Integral) else FMT % x
+
+
+def _key_value_lines(**fields) -> list:
+    """'key = value' lines: bools as true/false, numbers through fmt."""
+    return [f"{key} = {str(value).lower() if isinstance(value, bool) else fmt(value)}"
+            for key, value in fields.items()]
 
 
 def manifest_lines(command: str, version: str, **fields) -> list:
@@ -41,12 +52,13 @@ def _data_lines(path, header=None):
                 yield lineno, line, raw
 
 
-def _write_table(fh, manifest, header, rows):
-    """Manifest lines, the header row, then one comma-separated line per row."""
-    for line in [*manifest, header]:
+def _write_table(fh, manifest, columns, rows):
+    """Manifest lines, the header row naming ``columns``, then one
+    comma-separated line per row, a mapping from column to value."""
+    for line in [*manifest, ",".join(columns)]:
         fh.write(line + "\n")
     for row in rows:
-        fh.write(",".join(row) + "\n")
+        fh.write(",".join(fmt(row[c]) for c in columns) + "\n")
 
 
 def read_key_values(path) -> dict:
@@ -125,10 +137,8 @@ def parse_states(text: str) -> list:
 
 
 def write_click_records(fh, records, manifest: list):
-    _write_table(fh, manifest, "t_nominal,trials,clicks,dark_subtracted", (
-        (fmt(r.t_nominal), str(r.trials), str(r.clicks), str(int(r.dark_subtracted)))
-        for r in records
-    ))
+    _write_table(fh, manifest, ("t_nominal", "trials", "clicks", "dark_subtracted"),
+                 map(vars, records))
 
 
 def read_click_records(path) -> list:
@@ -149,43 +159,23 @@ def read_click_records(path) -> list:
 
 
 def estimate_lines(est) -> list:
-    """Serialize an Estimate as 'key = value' lines."""
-    return [
-        f"trace = {fmt(est.trace)}",
-        f"det = {fmt(est.det)}",
-        f"det_reliable = {'true' if est.det_reliable else 'false'}",
-        f"vmin = {fmt(est.vmin)}",
-        f"vmax = {fmt(est.vmax)}",
-        f"purity = {fmt(est.purity)}",
-        f"g_max_bound = {fmt(est.g_max_bound)}",
-        f"h_max_bound = {fmt(est.h_max_bound)}",
-        f"log_likelihood_at_max = {fmt(est.log_likelihood_at_max)}",
-    ]
+    """Serialize an Estimate as 'key = value' lines, one per field in order."""
+    return _key_value_lines(**asdict(est))
 
 
 def write_sweep(fh, results, manifest: list):
-    _write_table(
-        fh, manifest,
-        "trace_true,det_true,eta,n_runs,sigma_trace,sigma_det,"
-        "mean_trace_est,mean_det_est,fraction_det_reliable",
-        ((fmt(res.trace_true), fmt(res.det_true), fmt(res.eta), str(res.n_runs),
-          fmt(res.sigma_trace), fmt(res.sigma_det), fmt(res.mean_trace_est),
-          fmt(res.mean_det_est), fmt(res.fraction_det_reliable))
-         for res in results),
-    )
+    _write_table(fh, manifest, ("trace_true", "det_true", "eta", "n_runs", "sigma_trace",
+                                "sigma_det", "mean_trace_est", "mean_det_est",
+                                "fraction_det_reliable"), map(vars, results))
 
 
 def write_run_details(fh, results, manifest: list):
     """Per-run artifacts of each ensemble, for post-hoc recomputation."""
-    _write_table(
-        fh, manifest,
-        "trace_true,det_true,eta,run_index,trace_est,det_est,det_reliable,"
-        "eta_assumed,log_likelihood_at_max",
-        ((fmt(res.trace_true), fmt(res.det_true), fmt(res.eta), str(run.index),
-          fmt(run.trace_est), fmt(run.det_est), str(int(run.det_reliable)),
-          fmt(run.eta_assumed), fmt(run.log_likelihood_at_max))
-         for res in results for run in res.runs),
-    )
+    _write_table(fh, manifest, ("trace_true", "det_true", "eta", "run_index", "trace_est",
+                                "det_est", "det_reliable", "eta_assumed",
+                                "log_likelihood_at_max"),
+                 (dict(vars(res), run_index=run.index, **vars(run))
+                  for res in results for run in res.runs))
 
 
 def read_mode_samples(path) -> list:

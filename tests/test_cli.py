@@ -2,8 +2,14 @@ import math
 
 import pytest
 
-from sqclick import estimate, no_click_from_invariants
+from sqclick import (
+    estimate,
+    gain_bounds_from_trace,
+    no_click_from_invariants,
+    variances_from_invariants,
+)
 from sqclick.cli import main
+from sqclick.tables import estimate_lines
 
 TRACE0, DET0 = 2.321, 1.156
 
@@ -112,6 +118,28 @@ class TestInvert:
             ["invert", "--t1", "1.2", "--p1", "0.9", "--t2", "0.5", "--p2", "0.9"]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "trace, det", [(TRACE0, DET0), (3.0, 1.5), (2.05, 1.001), (10.0, 4.0)]
+)
+def test_invert_summary_matches_estimate_record(trace, det, capsys):
+    t1, t2 = 0.5, 0.25
+    p1, p2 = (no_click_from_invariants(trace, det, t) for t in (t1, t2))
+    assert main(["invert", "--t1", repr(t1), "--p1", repr(p1), "--t2", repr(t2),
+                 "--p2", repr(p2)]) == 0
+    inverted = capsys.readouterr().out.splitlines()
+    trace_inv, det_inv = estimate.invert_two_point(t1, p1, t2, p2)
+    qv = variances_from_invariants(trace_inv, det_inv)
+    g_max, h_max = gain_bounds_from_trace(trace_inv)
+    est = estimate.Estimate(trace=trace_inv, det=det_inv, det_reliable=True, vmin=qv.vmin,
+                            vmax=qv.vmax, purity=1.0 / math.sqrt(det_inv), g_max_bound=g_max,
+                            h_max_bound=h_max, log_likelihood_at_max=0.0)
+    summary = estimate_lines(est)[3:8]
+    assert [line.split(" = ")[0] for line in summary] == [
+        "vmin", "vmax", "purity", "g_max_bound", "h_max_bound"]
+    assert inverted[:2] == estimate_lines(est)[:2]
+    assert inverted[2:] == ["physical = true"] + summary
 
 
 class TestSimulate:
@@ -309,6 +337,10 @@ class TestEstimate:
             ["--dark-rate", "-300", "--duration", "100"],
             ["--dark-rate", "-300"],
             ["--duration", "-100"],
+            ["--dark-rate", "inf", "--duration", "100"],
+            ["--dark-rate", "300", "--duration", "inf"],
+            ["--dark-rate", "1e300", "--duration", "1e300"],
+            ["--dark-rate", "0", "--duration", "inf"],
         ],
         ids=[
             "negative-duration",
@@ -316,12 +348,25 @@ class TestEstimate:
             "negative-rate",
             "negative-rate-no-duration",
             "negative-duration-no-rate",
+            "infinite-rate",
+            "infinite-duration",
+            "infinite-product",
+            "zero-rate-infinite-duration",
         ],
     )
     def test_bad_dark_count_arguments_exit_code(self, base_config, tmp_path, capsys, dark):
         data = self._simulate(base_config, tmp_path)
         assert main(["estimate", "--data", str(data), "--eta", "0.5"] + dark) == 3
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duration" in captured.err  # names the arguments at fault
+
+    def test_efficiency_below_floor_exit_code(self, base_config, tmp_path, capsys):
+        data = self._simulate(base_config, tmp_path)
+        assert main(["estimate", "--data", str(data), "--eta", "1e-170"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "below the efficiency floor" in captured.err
 
     def test_roundtrip_file_format(self, base_config, tmp_path):
         # estimate consumes exactly what simulate emits, file to file
@@ -510,3 +555,22 @@ def test_output_file_is_manifest_then_stdout(command, tmp_path, capsys):
     assert lines[0] == "# sqclick manifest\n"
     assert f"# command = {command}\n" in lines[:n_manifest]
     assert "".join(lines[n_manifest:]) == stdout
+
+
+@pytest.mark.parametrize(
+    "command, options, recorded",
+    [
+        ("estimate", ["--dark-rate", "300", "--duration", "1"],
+         ["# dark_rate = 300\n", "# duration = 1\n"]),
+        ("sweep", ["--details", "runs.csv"], ["# details = runs.csv\n"]),
+    ],
+    ids=["estimate-dark-counts", "sweep-details"],
+)
+def test_manifest_records_options_that_change_output(command, options, recorded, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(command_argv(command, tmp_path) + options + ["--output", "out.txt"]) == 0
+    text = (tmp_path / "out.txt").read_text()
+    manifest = [line for line in text.splitlines(keepends=True) if line.startswith("#")]
+    for line in recorded:
+        assert line in manifest

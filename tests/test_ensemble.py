@@ -132,6 +132,13 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=r"^eta_assumed = 0.0 outside \(0, 1\]$"):
             run_ensemble(TRACE0, DET0, cfg, n_runs, seed=1)
 
+    def test_efficiency_below_floor_rejected(self):
+        # The state is bright enough to click at eta = 1e-60; the solver used to
+        # return inf/nan estimates for it without an error.
+        cfg = quick_config(eta_apd=1e-60, transmittances=(1.0, 0.5))
+        with pytest.raises(ValueError, match="below the efficiency floor"):
+            run_ensemble(1e60, 1.0, cfg, 3, seed=1)
+
 
 SIXTEEN = tuple(k / 16 for k in range(16, 0, -1))
 

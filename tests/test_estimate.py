@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sqclick import (
     ClickRecord,
+    Estimate,
     EstimationError,
     ExperimentConfig,
     SqueezerParams,
@@ -28,6 +30,7 @@ from sqclick import (
     simulate_run,
 )
 from sqclick.estimate import FLATNESS_NATS, _ml_solve, _mode_fit_table, _setting_arrays
+from sqclick.tables import estimate_lines
 
 TRACE0, DET0 = 2.321, 1.156
 N_FULL = 78_040_000
@@ -298,6 +301,38 @@ class TestMlEstimate:
         est = ml_estimate(records, 1.0)
         assert math.isfinite(est.trace) and math.isfinite(est.log_likelihood_at_max)
         assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
+
+    SPARSE = [(1.0, 1000, 3), (0.5, 1000, 1)]
+
+    @pytest.mark.parametrize("eta", [1e-13, 1e-60, 1e-170])
+    def test_efficiency_below_floor_rejected(self, eta):
+        # Below 1e-12 the solver overflowed: (inf, inf, -inf) at 1e-60 and a
+        # point 1,544 nats below the maximum at 1e-170.
+        with pytest.raises(ValueError, match="below the efficiency floor"):
+            ml_estimate([ClickRecord(*row) for row in self.SPARSE], eta)
+
+    def test_efficiency_at_floor_reaches_maximum(self):
+        # The maximum lies on the thermal edge, where the log-likelihood
+        # depends on eta only through eta * (trace - 2).
+        records = [ClickRecord(*row) for row in self.SPARSE]
+        est = ml_estimate(records, 1e-12)
+        assert est.log_likelihood_at_max == pytest.approx(
+            ml_estimate(records, 1e-6).log_likelihood_at_max, abs=1e-9)
+        assert est.det == 0.25 * est.trace * est.trace
+
+    def test_non_finite_maximum_raises(self):
+        # The solver on its own, below the floor that ml_estimate enforces
+        eff = np.array([[1e-60, 5e-61]])
+        with pytest.raises(EstimationError, match="not finite"):
+            _ml_solve(eff, np.full(eff.shape, 1000.0), np.array([[3.0, 1.0]]))
+
+    def test_fields_are_keyword_only_in_record_order(self):
+        est = ml_estimate(noiseless_records(TRACE0, DET0, 0.5), 0.5)
+        assert [f.name for f in fields(Estimate)] == [
+            line.split(" = ")[0] for line in estimate_lines(est)]
+        assert [f.name for f in fields(Estimate)][-1] == "log_likelihood_at_max"
+        with pytest.raises(TypeError):
+            Estimate(*astuple(est))
 
 
 @settings(deadline=None)

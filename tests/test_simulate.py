@@ -212,11 +212,13 @@ class TestSubtractDark:
         assert subtract_dark(rec, 0.0, 100.0).clicks == 2000
 
     @pytest.mark.parametrize(
-        "dark_rate, duration", [(-20.0, 100.0), (20.0, 0.0), (20.0, -100.0), (math.nan, 100.0)]
+        "dark_rate, duration",
+        [(-20.0, 100.0), (20.0, 0.0), (20.0, -100.0), (math.nan, 100.0), (math.inf, 100.0),
+         (20.0, math.inf), (0.0, math.inf), (1e300, 1e300)],
     )
     def test_bad_rate_or_duration_rejected(self, dark_rate, duration):
         rec = ClickRecord(t_nominal=1.0, trials=10_000_000, clicks=5000)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duration"):
             subtract_dark(rec, dark_rate, duration)
 
     def test_double_subtraction_rejected(self):
