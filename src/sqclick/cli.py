@@ -240,6 +240,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= getattr(args, "seed", 0) < 2**64:  # derive_seed reduces seeds mod 2**64
+            raise ValueError(f"--seed {args.seed} outside [0, 2**64)")
         return args.func(args)
     except (OSError, ValueError) as exc:  # every sqclick error is a ValueError
         print(f"sqclick: error: {exc}", file=sys.stderr)

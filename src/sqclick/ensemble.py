@@ -13,15 +13,16 @@ and each seed ``s`` drives ``np.random.default_rng(s)``.  Both sweeps run
 one loop that gives point k the master ``derive_seed(seed, k)``.  Results
 are therefore identical no matter how runs are scheduled, and run k of an
 ensemble draws exactly what ``simulate_run`` and ``perturbed_eta`` draw
-from its two seeds.  An ensemble builds its Generators from one
-vectorised pass of numpy's SeedSequence hash over all its seeds
-(``_seeding``), which gives the same streams as ``default_rng`` at a
+from its two seeds.  An ensemble takes all its seeds from one vectorised
+SplitMix64 pass (``_derive_seeds``) and its Generators from one of numpy's
+SeedSequence hash (``_seeding``): the streams of ``default_rng`` at a
 fraction of the cost per run.  Like ``ml_estimate``, an ensemble rejects
 an assumed efficiency below 1e-12.
 """
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,17 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """One simulate-then-estimate cycle."""
+def _derive_seeds(master, n):
+    """``derive_seed(master, k)`` for k in range(n), in one pass: uint64 arrays wrap
+    mod 2**64 like derive_seed's mask, where numpy scalars would warn."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN + (master & _MASK64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+class RunResult(NamedTuple):
+    """One simulate-then-estimate cycle: an immutable record, equal by value."""
 
     index: int
     trace_est: float
@@ -91,38 +100,32 @@ def run_ensemble(
     # commands that never draw (estimate, invert, modefit) should not pay.
     from ._seeding import generators
 
-    rows, t_trues = _draw_clicks(
-        trace_true, det_true, config,
-        generators([derive_seed(seed, 2 * k) for k in range(n_runs)]),
-    )
+    seeds = _derive_seeds(seed, 2 * n_runs)  # run k: 2k for its data, 2k + 1 for its eta
+    rows, t_trues = _draw_clicks(trace_true, det_true, config, generators(seeds[0::2]))
     cs = np.array(rows, dtype=np.int64)
     if config.dark_rate > 0.0:
         cs = np.maximum(cs - _expected_dark(config.dark_rate, config.duration), 0)
     if config.eta_rel_uncertainty > 0.0:
-        etas = _draw_etas(config, generators([derive_seed(seed, 2 * k + 1)
-                                              for k in range(n_runs)]))
+        etas = _draw_etas(config, generators(seeds[1::2]))
     else:
         etas = [config.eta_apd] * n_runs
     _check_etas(etas)
     eff = np.array(etas)[:, None] * np.array(config.transmittances)
-    solved = (x.tolist() for x in _ml_solve(eff, np.full(eff.shape, float(config.n_trials)),
-                                            cs.astype(float)))
-    runs = [
-        RunResult(k, trace, det, reliable, eta_assumed, t_true, log_l)
-        for k, (trace, det, reliable, log_l, eta_assumed, t_true)
-        in enumerate(zip(*solved, etas, t_trues))
-    ]
+    traces, dets, reliable, log_ls = (
+        x.tolist() for x in _ml_solve(eff, np.full(eff.shape, float(config.n_trials)),
+                                      cs.astype(float)))
     return EnsembleResult(
         eta=config.eta_apd,
-        sigma_det=math.sqrt(sum((r.det_est - det_true) ** 2 for r in runs) / n_runs),
-        sigma_trace=math.sqrt(sum((r.trace_est - trace_true) ** 2 for r in runs) / n_runs),
-        mean_det_est=sum(r.det_est for r in runs) / n_runs,
-        mean_trace_est=sum(r.trace_est for r in runs) / n_runs,
+        sigma_det=math.sqrt(sum((d - det_true) ** 2 for d in dets) / n_runs),
+        sigma_trace=math.sqrt(sum((t - trace_true) ** 2 for t in traces) / n_runs),
+        mean_det_est=sum(dets) / n_runs,
+        mean_trace_est=sum(traces) / n_runs,
         n_runs=n_runs,
-        fraction_det_reliable=sum(r.det_reliable for r in runs) / n_runs,
+        fraction_det_reliable=sum(reliable) / n_runs,
         trace_true=trace_true,
         det_true=det_true,
-        runs=tuple(runs),
+        runs=tuple(map(RunResult._make,
+                       zip(range(n_runs), traces, dets, reliable, etas, t_trues, log_ls))),
     )
 
 

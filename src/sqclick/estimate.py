@@ -205,22 +205,28 @@ def _solve2(h11, h12, h22, g1, g2):
 
 def _edge_max(b, kappa, lam, e2, e1, ns, cs):
     """Newton maximizer in b > 0 along the edge a = kappa*b^2 + lam*b of each row,
-    kept inside a bracket on the sign of the slope, which is +inf at b = 0."""
-    lo, hi, done = np.zeros_like(b), np.full_like(b, np.inf), np.zeros(b.size, dtype=bool)
+    kept inside a bracket on the sign of the slope, which is +inf at b = 0.  b has a
+    row of starts per edge, kappa and lam a (1,)-row each.  A row stops after an
+    in-bracket step of at most 1e-9*b, leaving an error of order step^2, or keeps
+    its b once the step or the bracket is down to the rounding of b."""
+    lo, hi, done = np.zeros_like(b), np.full_like(b, np.inf), np.zeros(b.shape, dtype=bool)
     two_kappa = 2.0 * kappa
     for _ in range(400):
-        u = e2 * ((kappa * b + lam) * b)[:, None] + e1 * b[:, None]
+        u = e2 * ((kappa * b + lam) * b)[..., None] + e1 * b[..., None]
         d1, d2 = _setting_loglike(u, ns, cs, slopes=True)
-        du = e2 * (two_kappa * b + lam)[:, None] + e1
+        du = e2 * (two_kappa * b + lam)[..., None] + e1
         g = (d1 * du).sum(-1)
         h = (d2 * du * du).sum(-1) + two_kappa * (d1 * e2).sum(-1)
         up = g > 0.0
         lo, hi = np.where(up, b, lo), np.where(up, hi, b)
         step = np.where(h < 0.0, -g / h, np.inf)
         new = b + step
-        new = np.where((lo < new) & (new < hi), new, np.minimum(0.5 * (lo + hi), 2.0 * b))
-        done |= np.fmin(np.abs(step), hi - lo) <= 4e-16 * b
-        b = np.where(done, b, new)  # finished rows keep their b
+        inside = (lo < new) & (new < hi)
+        new = np.where(inside, new, np.minimum(0.5 * (lo + hi), 2.0 * b))
+        rounded = np.fmin(np.abs(step), hi - lo) <= 4e-16 * b
+        converged = inside & (np.abs(step) <= 1e-9 * b)
+        b = np.where(done | rounded, b, new)  # finished rows keep their b
+        done |= rounded | converged
         if done.all():
             break
     return b
@@ -296,31 +302,37 @@ def _ml_solve(eff, ns, cs):
     e2, e1 = eff * eff, 2.0 * eff  # du/da, du/db
 
     q = (cs + 0.5) / (ns + 1.0)  # half a count keeps p_hat = 1 - q inside (0, 1)
-    w = ns * (1.0 - q) ** 5 / q  # 1/variance of u_hat by the delta method
-    u_hat = 4.0 * q * (2.0 - q) / (1.0 - q) ** 2  # 4/p_hat^2 - 4 without cancellation
-    we2, we1 = w * e2, w * e1
-    a, b = _solve2(*(x.sum(-1) for x in (we2 * e2, we2 * e1, we1 * e1, we2 * u_hat, we1 * u_hat)))
+    p = 1.0 - q
+    w = ns * p**5 / q  # 1/variance of u_hat by the delta method
+    u_hat = 4.0 * q * (2.0 - q) / p**2  # 4/p_hat^2 - 4 without cancellation
+    s22, s21, s11, g2, g1 = (x.sum(-1) for x in (w * e2 * e2, w * e2 * e1, w * e1 * e1,
+                                                  w * e2 * u_hat, w * e1 * u_hat))
+    a, b = _solve2(s22, s21, s11, g2, g1)
     b = np.where(b > 0.0, b, 1.0)
     # One Newton loop for the pure edge a = -b (det = 1) and the thermal edge
-    # a = b^2/4 (det = (trace/2)^2): 2 rows per run.
-    b_pure, b_thermal = _edge_max(np.tile(b, 2), np.repeat([0.0, 0.25], live.size),
-                                  np.repeat([-1.0, 0.0], live.size),
-                                  *(np.tile(x, (2, 1)) for x in (e2, e1, ns, cs))).reshape(2, -1)
+    # a = b^2/4 (det = (trace/2)^2), each from its own weighted fit.  On the pure
+    # edge u = b*(e1 - e2), a ratio of the sums above.  On the thermal edge
+    # sqrt(4 + u) = 2 + eff*b/2, so each setting gives b_i = 4q/((1 - q)*eff),
+    # averaged with inverse-variance weights n*eff^2*(1 - q)^3/q.
+    starts = np.stack([(g1 - g2) / (s11 - 2.0 * s21 + s22),
+                       (4.0 * ns * eff * p * p).sum(-1) / (ns * e2 * p * p * p / q).sum(-1)])
+    b_pure, b_thermal = _edge_max(np.where((0.0 < starts) & (starts < np.inf), starts, b),
+                                  np.array([[0.0], [0.25]]), np.array([[-1.0], [0.0]]),
+                                  e2, e1, ns, cs)
     a, b = _interior_max(np.minimum(np.maximum(a, -b), 0.25 * b * b), b, e2, e1, ns, cs)
     cand_t = 2.0 + np.stack([b_pure, b_thermal, b], axis=-1)
-    cand_d = np.stack([np.ones(live.size), 0.25 * cand_t[:, 1] * cand_t[:, 1],
-                       np.minimum(a + b + 1.0, 0.25 * cand_t[:, 2] * cand_t[:, 2])], axis=-1)
+    top = 0.25 * cand_t * cand_t
+    cand_d = np.stack([np.ones(live.size), top[:, 1], np.minimum(a + b + 1.0, top[:, 2])], -1)
     scores = _loglike(cand_t[..., None], cand_d[..., None], eff[:, None], ns[:, None], cs[:, None])
     scores[:, 2] = np.where((b > 0.0) & (-b < a) & (a < 0.25 * b * b), scores[:, 2], -np.inf)
     # The most likely candidate; exact ties go to the smaller det, then the smaller trace.
-    pick = np.arange(live.size), np.lexsort((cand_t, cand_d, -scores), axis=-1)[:, 0]
-    best = cand_t[pick]
-    trace[live], det[live], log_l[live] = best, cand_d[pick], scores[pick]
+    rows, k = np.arange(live.size), np.lexsort((cand_t, cand_d, -scores), axis=-1)[:, 0]
+    best, top = cand_t[rows, k], top[rows, k]
+    trace[live], det[live], log_l[live] = best, cand_d[rows, k], scores[rows, k]
 
     # det is unreliable when the log-likelihood barely moves along the admissible
     # det interval [1, (trace/2)^2] at the optimal trace.  Its maximum there is
     # log_l, as the ML point lies on it; its minimum is at an end in practice.
-    top = 0.25 * best * best
     ends = _loglike(best[:, None, None], np.stack([np.ones(live.size), top], -1)[..., None],
                     eff[:, None], ns[:, None], cs[:, None])
     pinned = top - 1.0 < 1e-9  # det is fixed by the constraints

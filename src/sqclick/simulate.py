@@ -21,8 +21,10 @@ from .gaussian import (
     _require_physical,
 )
 
-# numpy draws binomials with an int64 trial count.
+# numpy draws binomials with an int64 trial count, and Poisson counts with a
+# mean of at most its int64 maximum less 10 standard deviations.
 _MAX_TRIALS = 2**63 - 1
+_MAX_DARK = _MAX_TRIALS - 10.0 * math.sqrt(_MAX_TRIALS)
 
 # Smallest efficiency the estimator accepts, and the clip of the drawn ones.
 _ETA_FLOOR = 1e-12
@@ -73,6 +75,9 @@ class ExperimentConfig:
             raise ValueError(f"eta_apd = {self.eta_apd} outside [0, 1]")
         if self.dark_rate < 0.0 or self.t_uncertainty < 0.0 or self.eta_rel_uncertainty < 0.0:
             raise ValueError("rates and uncertainties must be non-negative")
+        if self.dark_rate * self.duration > _MAX_DARK:
+            raise ValueError(f"dark_rate_hz = {self.dark_rate} gives more dark counts per "
+                             f"setting than numpy can draw ({_MAX_DARK:.6g})")
 
     @property
     def n_trials(self) -> int:
@@ -166,6 +171,9 @@ def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> Cli
                          f"got dark_rate = {dark_rate}, duration = {duration}")
     if record.dark_subtracted:
         raise ValueError("dark counts already subtracted from this record")
+    if dark_rate * duration > record.trials:
+        raise ValueError(f"dark_rate * duration = {dark_rate * duration} expected dark counts "
+                         f"exceed the record's {record.trials} trials")
     return ClickRecord(
         t_nominal=record.t_nominal,
         trials=record.trials,

@@ -174,7 +174,7 @@ def write_run_details(fh, results, manifest: list):
     _write_table(fh, manifest, ("trace_true", "det_true", "eta", "run_index", "trace_est",
                                 "det_est", "det_reliable", "eta_assumed",
                                 "log_likelihood_at_max"),
-                 (dict(vars(res), run_index=run.index, **vars(run))
+                 (dict(vars(res), run_index=run.index, **run._asdict())
                   for res in results for run in res.runs))
 
 

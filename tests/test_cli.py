@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sqclick
 from sqclick import (
     estimate,
     gain_bounds_from_trace,
@@ -238,6 +243,15 @@ class TestSimulate:
         ) == 2
         assert "pulses per setting exceeds" in capsys.readouterr().err
 
+    def test_dark_count_total_beyond_poisson_draw_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG.replace("dark_rate_hz = 0", "dark_rate_hz = 1e19")
+                        .replace("duration_s = 100", "duration_s = 1"))
+        assert main(
+            ["simulate", "--config", str(path), "--trace", "2.5", "--det", "1", "--seed", "1"]
+        ) == 2
+        assert "dark_rate_hz" in capsys.readouterr().err
+
     def test_pulse_count_rounding_to_zero_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG.replace("rep_rate_hz = 780400", "rep_rate_hz = 1")
@@ -341,6 +355,7 @@ class TestEstimate:
             ["--dark-rate", "300", "--duration", "inf"],
             ["--dark-rate", "1e300", "--duration", "1e300"],
             ["--dark-rate", "0", "--duration", "inf"],
+            ["--dark-rate", "1e9", "--duration", "1"],
         ],
         ids=[
             "negative-duration",
@@ -352,6 +367,7 @@ class TestEstimate:
             "infinite-duration",
             "infinite-product",
             "zero-rate-infinite-duration",
+            "more-dark-counts-than-trials",
         ],
     )
     def test_bad_dark_count_arguments_exit_code(self, base_config, tmp_path, capsys, dark):
@@ -557,6 +573,18 @@ def test_output_file_is_manifest_then_stdout(command, tmp_path, capsys):
     assert "".join(lines[n_manifest:]) == stdout
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 5])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_seed_outside_64_bits_exit_code(command, seed, tmp_path, capsys):
+    # derive_seed reduces a master mod 2**64: 2**64 + 5 would run the sweep of --seed 5
+    argv = command_argv(command, tmp_path)
+    argv[argv.index("--seed") + 1] = str(seed)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, options, recorded",
     [
@@ -574,3 +602,15 @@ def test_manifest_records_options_that_change_output(command, options, recorded,
     manifest = [line for line in text.splitlines(keepends=True) if line.startswith("#")]
     for line in recorded:
         assert line in manifest
+
+
+def test_cli_import_leaves_random_modules_unloaded():
+    # numpy.random costs about 20 ms to import, which estimate, invert and
+    # modefit never use; simulate and sweep import it when they draw
+    code = ("import sys, sqclick.cli; "
+            "print([m for m in ('numpy.random', 'sqclick._seeding') if m in sys.modules])")
+    src = str(Path(sqclick.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -15,7 +15,9 @@ from sqclick import (
     state_sweep,
     subtract_dark,
 )
+from sqclick import estimate
 from sqclick._seeding import SeedState, generators, pcg64_seed_states
+from sqclick.ensemble import _derive_seeds
 from sqclick.simulate import _draw_clicks
 
 TRACE0, DET0 = 2.321, 1.156
@@ -47,6 +49,13 @@ class TestDeriveSeed:
     def test_64_bit_range(self):
         for k in range(100):
             assert 0 <= derive_seed(123456789, k) < 2**64
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("master", [0, 2**63, 2**64 - 1, -5])
+    def test_vectorised_pass_equals_scalar(self, master, n):
+        seeds = _derive_seeds(master, n)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(master, k) for k in range(n)]
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
@@ -152,8 +161,11 @@ SIXTEEN = tuple(k / 16 for k in range(16, 0, -1))
         dict(transmittances=SIXTEEN, t_uncertainty=0.005, eta_rel_uncertainty=0.01),
         dict(transmittances=SIXTEEN, dark_rate=200.0, eta_rel_uncertainty=0.01),
         dict(t_uncertainty=0.005, eta_rel_uncertainty=0.01, dark_rate=200.0),
+        dict(transmittances=(1.0, 0.75, 0.5, 0.25)),
+        dict(transmittances=SIXTEEN),
     ],
-    ids=["4-blocked-noise", "4-dark", "16-noise", "16-dark-noise", "4-dark-noise"],
+    ids=["4-blocked-noise", "4-dark", "16-noise", "16-dark-noise", "4-dark-noise", "4-exact",
+         "16-exact"],
 )
 def test_batched_runs_equal_serial_estimates(eta, overrides):
     # every run of the batch has the bits ml_estimate gives its records alone,
@@ -222,6 +234,35 @@ def test_sweep_streams_are_pinned():
              for j, row in zip(ends, rows)],
         ))
     assert observed == golden
+
+
+def test_edge_passes_per_solve_on_criterion_5_data(monkeypatch):
+    # each pass of the edge Newton loop is one slope evaluation of both edges;
+    # the closed-form starts leave about 3 per 200-run solve
+    cfg = ExperimentConfig(rep_rate=780400.0, duration=100.0,
+                           transmittances=(1.0, 0.75, 0.5, 0.25), eta_apd=0.5)
+    edge_max, setting_loglike = estimate._edge_max, estimate._setting_loglike
+    passes, inside = [], []
+
+    def counted_edge_max(*args):
+        passes.append(0)
+        inside.append(True)
+        try:
+            return edge_max(*args)
+        finally:
+            inside.pop()
+
+    def counted_setting_loglike(u, n, c, slopes=False):
+        if slopes and inside:
+            passes[-1] += 1
+        return setting_loglike(u, n, c, slopes)
+
+    monkeypatch.setattr(estimate, "_edge_max", counted_edge_max)
+    monkeypatch.setattr(estimate, "_setting_loglike", counted_setting_loglike)
+    etas = [0.01, 0.05, 0.08, 0.10, 0.125, 0.15, 0.175, 0.20]
+    eta_sweep(TRACE0, DET0, cfg, etas, 200, with_uncertainties=False, seed=314159)
+    assert len(passes) == len(etas)
+    assert max(passes) <= 4, passes
 
 
 class TestEtaSweep:

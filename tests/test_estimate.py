@@ -1,9 +1,11 @@
 import math
 from dataclasses import astuple, fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from sqclick import (
     ClickRecord,
@@ -29,6 +31,7 @@ from sqclick import (
     sensitivity,
     simulate_run,
 )
+from sqclick import estimate
 from sqclick.estimate import FLATNESS_NATS, _ml_solve, _mode_fit_table, _setting_arrays
 from sqclick.tables import estimate_lines
 
@@ -320,11 +323,23 @@ class TestMlEstimate:
             ml_estimate(records, 1e-6).log_likelihood_at_max, abs=1e-9)
         assert est.det == 0.25 * est.trace * est.trace
 
-    def test_non_finite_maximum_raises(self):
-        # The solver on its own, below the floor that ml_estimate enforces
+    def test_efficiency_below_floor_solves_on_thermal_edge(self):
+        # The solver on its own, below the floor that ml_estimate enforces: the
+        # thermal edge's start reaches the maximum that a normal efficiency gives.
         eff = np.array([[1e-60, 5e-61]])
-        with pytest.raises(EstimationError, match="not finite"):
-            _ml_solve(eff, np.full(eff.shape, 1000.0), np.array([[3.0, 1.0]]))
+        solved = _ml_solve(eff, np.full(eff.shape, 1000.0), np.array([[3.0, 1.0]]))
+        trace, det, _, log_l = (x.item() for x in solved)
+        assert det == 0.25 * trace * trace
+        assert log_l == pytest.approx(
+            ml_estimate([ClickRecord(*row) for row in self.SPARSE], 1e-6).log_likelihood_at_max,
+            abs=1e-9)
+
+    def test_non_finite_maximum_raises(self):
+        # The solver on its own, with trial counts near the float maximum, where
+        # the log-likelihood overflows at every candidate
+        eff = np.array([[0.5, 0.25]])
+        with np.errstate(over="ignore"), pytest.raises(EstimationError, match="not finite"):
+            _ml_solve(eff, np.full(eff.shape, 1.7e308), np.array([[1.6e308, 1e308]]))
 
     def test_fields_are_keyword_only_in_record_order(self):
         est = ml_estimate(noiseless_records(TRACE0, DET0, 0.5), 0.5)
@@ -365,6 +380,61 @@ def test_ml_estimate_reaches_dense_grid_maximum(
     log_l = est.log_likelihood_at_max
     assert log_l >= grid.log_l.max() - 1e-9 * abs(log_l)
     assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
+
+
+def edge_loglike(b, kappa, lam, eff, ns, cs):
+    """Log-likelihood of one row at each b on the edge a = kappa*b^2 + lam*b."""
+    b = np.asarray(b, dtype=float)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = eff * eff * ((kappa * b + lam) * b) + 2.0 * eff * b
+        return estimate._setting_loglike(np.maximum(u, 0.0), ns, cs).sum(-1)
+
+
+@settings(deadline=None)
+@given(
+    t_percent=st.lists(st.integers(1, 100), min_size=2, max_size=6, unique=True),
+    blocked=st.booleans(),
+    n_saturated=st.integers(0, 2),
+    eta=st.sampled_from([0.0084, 0.05, 0.5]) | st.floats(0.005, 1.0),
+    log10_trials=st.floats(3.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_edge_results_are_maxima_along_their_edges(t_percent, blocked, n_saturated, eta,
+                                                   log10_trials, seed):
+    # each edge result of the solver's own call, from its closed-form start, against
+    # scipy's bounded search around the best point of a log-spaced scan of the edge
+    rng = np.random.default_rng(seed)
+    trace = rng.uniform(2.0, 4.0)
+    det = 1.0 + rng.uniform() * (0.25 * trace * trace - 1.0)
+    n = int(10**log10_trials)
+    records = [ClickRecord(0.0, n, 0)] if blocked else []
+    for i, k in enumerate(t_percent):
+        q = click_probability_from_invariants(trace, det, eta * k / 100)
+        clicks = n - int(rng.integers(1, 4)) if i < n_saturated else int(rng.binomial(n, q))
+        records.append(ClickRecord(k / 100, n, clicks))
+    edge_max, calls = estimate._edge_max, []
+
+    def spy(*args):
+        calls.append((args, edge_max(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(estimate, "_edge_max", spy):
+        ml_estimate(records, eta)
+    eff, ns, cs = (x[0] for x in _setting_arrays([records], [eta]))
+    (_, kappas, lams, *_), found = calls[0]
+    for kappa, lam, b_row in zip(kappas[:, 0], lams[:, 0], found):
+        for b in b_row:  # no rows when nothing clicked
+            scan = b * np.geomspace(1e-6, 1e6, 1201)
+            i = int(np.argmax(edge_loglike(scan, kappa, lam, eff, ns, cs)))
+            best = minimize_scalar(lambda x: -edge_loglike(x, kappa, lam, eff, ns, cs),
+                                   bounds=(scan[max(i - 1, 0)], scan[min(i + 1, scan.size - 1)]),
+                                   method="bounded", options=dict(xatol=1e-12 * scan[i]))
+            # 1e-9 nats, widened by the rounding of the log-likelihood's terms of
+            # size n*ln(1 + u/4), which reach 1e7 on saturated data
+            u = eff * eff * ((kappa * b + lam) * b) + 2.0 * eff * b
+            tol = 1e-9 + 4.0 * np.finfo(float).eps * float((ns * np.log1p(0.25 * u)).sum())
+            at_b = edge_loglike(b, kappa, lam, eff, ns, cs)
+            assert at_b >= max(-best.fun, edge_loglike(scan[i], kappa, lam, eff, ns, cs)) - tol
 
 
 def solved_bits(runs, etas):
