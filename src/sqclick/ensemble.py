@@ -14,9 +14,9 @@ one loop that gives point k the master ``derive_seed(seed, k)``.  Results
 are therefore identical no matter how runs are scheduled, and run k of an
 ensemble draws exactly what ``simulate_run`` and ``perturbed_eta`` draw
 from its two seeds.  An ensemble takes all its seeds from one vectorised
-SplitMix64 pass (``_derive_seeds``) and its Generators from one of numpy's
-SeedSequence hash (``_seeding``): the streams of ``default_rng`` at a
-fraction of the cost per run.  Like ``ml_estimate``, an ensemble rejects
+SplitMix64 pass (``derive_seed`` on an index array) and its Generators
+from one of numpy's SeedSequence hash (``_seeding``): the streams of
+``default_rng`` at a fraction of the cost per run.  Like ``ml_estimate``, an ensemble rejects
 an assumed efficiency below 1e-12.
 """
 
@@ -33,20 +33,15 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def derive_seed(master: int, index: int) -> int:
-    """Deterministic 64-bit seed for stream ``index`` of ``master`` (SplitMix64)."""
-    z = (master + (index + 1) * _GOLDEN) & _MASK64
+def derive_seed(master: int, index):
+    """Deterministic 64-bit seed for stream ``index`` of ``master`` (SplitMix64).
+
+    ``index`` may also be a uint64 array, which wraps mod 2**64 as the masks do
+    on Python ints; numpy scalars would warn on that overflow.
+    """
+    z = ((index + 1) * _GOLDEN + (master & _MASK64)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _derive_seeds(master, n):
-    """``derive_seed(master, k)`` for k in range(n), in one pass: uint64 arrays wrap
-    mod 2**64 like derive_seed's mask, where numpy scalars would warn."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN + (master & _MASK64)
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
 
@@ -100,7 +95,8 @@ def run_ensemble(
     # commands that never draw (estimate, invert, modefit) should not pay.
     from ._seeding import generators
 
-    seeds = _derive_seeds(seed, 2 * n_runs)  # run k: 2k for its data, 2k + 1 for its eta
+    # run k: seed 2k for its data, 2k + 1 for its eta
+    seeds = derive_seed(seed, np.arange(2 * n_runs, dtype=np.uint64))
     rows, t_trues = _draw_clicks(trace_true, det_true, config, generators(seeds[0::2]))
     cs = np.array(rows, dtype=np.int64)
     if config.dark_rate > 0.0:

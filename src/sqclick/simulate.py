@@ -75,9 +75,11 @@ class ExperimentConfig:
             raise ValueError(f"eta_apd = {self.eta_apd} outside [0, 1]")
         if self.dark_rate < 0.0 or self.t_uncertainty < 0.0 or self.eta_rel_uncertainty < 0.0:
             raise ValueError("rates and uncertainties must be non-negative")
-        if self.dark_rate * self.duration > _MAX_DARK:
-            raise ValueError(f"dark_rate_hz = {self.dark_rate} gives more dark counts per "
-                             f"setting than numpy can draw ({_MAX_DARK:.6g})")
+        dark_cap = min(self.n_trials, _MAX_DARK)  # more than every pulse clicking is no data
+        if self.dark_rate * self.duration > dark_cap:
+            raise ValueError(f"dark_rate_hz = {self.dark_rate} expects more dark counts per "
+                             f"setting than its {self.n_trials} pulses or numpy's Poisson "
+                             f"limit allow ({dark_cap:.6g})")
 
     @property
     def n_trials(self) -> int:

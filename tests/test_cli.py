@@ -471,6 +471,16 @@ class TestSweep:
             ["sweep", "--config", str(path), "--mode", "eta", "--seed", "1", "--runs", "2"]
         ) == 2
 
+    def test_dark_count_total_above_pulses_exit_code(self, tmp_path, capsys):
+        # more expected dark counts than pulses would floor every setting at
+        # zero clicks and report a confident vacuum
+        path = tmp_path / "dark.cfg"
+        path.write_text(SWEEP_CONFIG + "dark_rate_hz = 1e9\n")
+        assert main(
+            ["sweep", "--config", str(path), "--mode", "eta", "--seed", "1", "--runs", "2"]
+        ) == 2
+        assert "dark_rate_hz" in capsys.readouterr().err
+
     def test_config_missing_sweep_keys(self, tmp_path):
         path = tmp_path / "bare.cfg"
         path.write_text(BASE_CONFIG)

@@ -17,7 +17,6 @@ from sqclick import (
 )
 from sqclick import estimate
 from sqclick._seeding import SeedState, generators, pcg64_seed_states
-from sqclick.ensemble import _derive_seeds
 from sqclick.simulate import _draw_clicks
 
 TRACE0, DET0 = 2.321, 1.156
@@ -53,7 +52,7 @@ class TestDeriveSeed:
     @pytest.mark.parametrize("n", [1, 1000])
     @pytest.mark.parametrize("master", [0, 2**63, 2**64 - 1, -5])
     def test_vectorised_pass_equals_scalar(self, master, n):
-        seeds = _derive_seeds(master, n)
+        seeds = derive_seed(master, np.arange(n, dtype=np.uint64))
         assert seeds.dtype == np.uint64
         assert seeds.tolist() == [derive_seed(master, k) for k in range(n)]
 

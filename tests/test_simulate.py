@@ -58,6 +58,7 @@ class TestConfig:
             dict(rep_rate=1e15, duration=1e15),
             dict(rep_rate=1e200, duration=1e200),
             dict(rep_rate=1.0, duration=0.2),
+            dict(dark_rate=780401.0),
         ],
     )
     def test_invalid_configs_rejected(self, bad):
