@@ -15,7 +15,6 @@ from .ensemble import EnsembleResult, RunResult, derive_seed, eta_sweep, run_ens
 from .estimate import (
     Estimate,
     EstimationError,
-    LikelihoodGrid,
     classical_estimate,
     estimate_eta,
     homodyne_correct,
@@ -32,16 +31,12 @@ from .gaussian import (
     QuadratureVariances,
     SqueezerParams,
     UnphysicalStateError,
-    apply_beamsplitter,
     check_physicality,
     click_probability_from_invariants,
     cov_from_squeezer,
     gain_bounds_from_trace,
     no_click_from_invariants,
-    no_click_probability,
-    purity,
     purity_from_h,
-    q_function,
     squeezer_from_trace_det,
     trace_det_from_squeezer,
     variances_from_invariants,
@@ -65,11 +60,7 @@ __all__ = [
     "trace_det_from_squeezer",
     "squeezer_from_trace_det",
     "variances_from_invariants",
-    "purity",
     "purity_from_h",
-    "apply_beamsplitter",
-    "q_function",
-    "no_click_probability",
     "no_click_from_invariants",
     "click_probability_from_invariants",
     "gain_bounds_from_trace",
@@ -82,7 +73,6 @@ __all__ = [
     "perturbed_eta",
     "Estimate",
     "EstimationError",
-    "LikelihoodGrid",
     "invert_two_point",
     "sensitivity",
     "log_likelihood",

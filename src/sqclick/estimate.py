@@ -67,20 +67,6 @@ class Estimate:
     log_likelihood_at_max: float
 
 
-@dataclass
-class LikelihoodGrid:
-    """Log-likelihood sampled on a rectangular (trace, det) grid.
-
-    Cells outside the physical region are excluded and hold -inf.
-    log_l has shape (len(trace_axis), len(det_axis)).
-    """
-
-    trace_axis: np.ndarray
-    det_axis: np.ndarray
-    log_l: np.ndarray
-    excluded: np.ndarray
-
-
 def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float, float]:
     """Exact inversion of two (effective transmittance, no-click probability) pairs.
 
@@ -181,20 +167,17 @@ def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> 
     return float(_loglike(trace, det, eff, ns, cs)[0])
 
 
-def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> LikelihoodGrid:
+def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> np.ndarray:
     """Evaluate the log-likelihood on a rectangular grid of invariants.
 
-    Grid cells violating 1 <= det <= (trace/2)^2 are marked excluded and
-    set to -inf.
+    Returns the array of shape (len(trace_axis), len(det_axis)) whose cell
+    [i, j] is log_likelihood(trace_axis[i], det_axis[j], data, eta_assumed);
+    cells outside 1 <= det <= (trace/2)^2 hold -inf.
     """
-    trace_axis = np.asarray(trace_axis, dtype=float)
-    det_axis = np.asarray(det_axis, dtype=float)
-    tr = trace_axis[:, None]
-    dt = det_axis[None, :]
-    excluded = ~check_physicality(tr, dt)
+    tr = np.asarray(trace_axis, dtype=float)[:, None]
+    dt = np.asarray(det_axis, dtype=float)[None, :]
     log_l = _loglike(tr[..., None], dt[..., None], *_setting_arrays([data], [eta_assumed]))
-    log_l = np.where(excluded, -np.inf, log_l)
-    return LikelihoodGrid(trace_axis, det_axis, log_l, excluded)
+    return np.where(check_physicality(tr, dt), log_l, -np.inf)
 
 
 def _solve2(h11, h12, h22, g1, g2):
@@ -403,8 +386,8 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
     """Overall detection efficiency from click rates at full transmittance.
 
     Least-squares fit of the single scale factor eta in
-    rate = eta * rep_rate * ((h-1/2)(g+1/g) - 1)/2 across calibration
-    points (rate, SqueezerParams).  Result clamped to (0, 1].
+    rate = eta * rep_rate * (trace - 2)/4 (see expected_click_rate) across
+    calibration points (rate, SqueezerParams).  Result clamped to (0, 1].
     """
     if not click_rates:
         raise EstimationError("no calibration points supplied")
@@ -416,6 +399,7 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
     return min(max(eta, _ETA_FLOOR), 1.0)
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def _mode_fit_table(samples, max_modes):
     """Weighted polynomial fits of 4/p^2 - 4 for each candidate mode count.
 
@@ -434,22 +418,25 @@ def _mode_fit_table(samples, max_modes):
         )
     t = np.array([s[0] for s in samples], dtype=float)
     p = np.array([s[1] for s in samples], dtype=float)
-    if np.unique(t).size != n:
-        raise EstimationError("effective transmittances must be distinct")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    # Written so that NaN fails each test.
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ValueError("effective transmittances must lie in [0, 1]")
+    if not np.all((p > 0.0) & (p <= 1.0)):
         raise ValueError("no-click probabilities must lie in (0, 1]")
     has_sigma = all(len(s) >= 3 for s in samples)
+    if has_sigma:
+        sigma_p = np.array([s[2] for s in samples], dtype=float)
+        if not np.all(np.isfinite(sigma_p) & (sigma_p > 0.0)):
+            raise ValueError("sigma_p values must be finite and positive")
+    if np.unique(t).size != n:
+        raise EstimationError("effective transmittances must be distinct")
     z = 4.0 / (p * p) - 4.0
     scale = float(np.max(np.abs(z)))
     if scale < 1e-12:
         return []
 
     powers = t[:, None] ** np.arange(1, 2 * max_modes + 1)[None, :]
-    sigma_z = np.ones(n)
-    if has_sigma:
-        sigma_z = 8.0 * np.array([s[2] for s in samples], dtype=float) / p**3
-        if np.any(sigma_z <= 0.0):
-            raise ValueError("sigma_p values must be positive")
+    sigma_z = 8.0 * sigma_p / p**3 if has_sigma else np.ones(n)
     fits = []  # (rss, chi^2 before the noise scale) per mode count
     for m in range(1, max_modes + 1):
         cols = powers[:, : 2 * m]
@@ -473,7 +460,10 @@ def mode_count_fit(samples: list, max_modes: int) -> tuple[list, int]:
     Identically-vacuum samples (p = 1 everywhere) give no rows and N = 0:
     no signal to fit.
     """
-    rows = _mode_fit_table(samples, max_modes)
+    try:
+        rows = _mode_fit_table(samples, max_modes)
+    except FloatingPointError as exc:  # e.g. p = 1e-160 overflows 4/p^2
+        raise ValueError(f"the samples overflow the fit in float64 ({exc})") from exc
     if not rows:
         return rows, 0
     for m, _deg, _rss, chi2_dof in rows:

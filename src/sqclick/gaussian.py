@@ -138,70 +138,25 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
     return QuadratureVariances(vmin=det / vmax, vmax=vmax)
 
 
-def purity(cov: CovarianceMatrix) -> float:
-    """State purity Tr[rho^2] = 1/sqrt(det(cov)), in (0, 1]."""
-    return 1.0 / math.sqrt(cov.det)
-
-
 def purity_from_h(h: float) -> float:
     """Purity in terms of the phase-insensitive gain alone: 1/(2h-1).
 
-    Equals purity(cov_from_squeezer(g, h)) for any g, since squeezing is
-    a unitary and cannot change the purity.
+    Equals the purity 1/sqrt(det) of cov_from_squeezer(g, h) for any g,
+    since squeezing is a unitary and cannot change the purity.
     """
     if h < 1.0:
         raise UnphysicalStateError(f"h = {h} must be >= 1")
     return 1.0 / (2.0 * h - 1.0)
 
 
-def apply_beamsplitter(cov: CovarianceMatrix, t: float) -> CovarianceMatrix:
-    """Mix the state with vacuum on a beamsplitter of intensity transmittance t.
-
-    cov' = t*cov + (1-t)*I.  t = 1 is the identity, t = 0 leaves vacuum.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmittance t = {t} outside [0, 1]")
-    return CovarianceMatrix(
-        vxx=t * cov.vxx + (1.0 - t),
-        vpp=t * cov.vpp + (1.0 - t),
-        vxp=t * cov.vxp,
-    )
-
-
-def q_function(cov: CovarianceMatrix, x: float, p: float) -> float:
-    """Husimi Q function of the zero-mean Gaussian state at phase-space point (x, p).
-
-    Q(r) = exp(-r^T (cov+I)^{-1} r / 2) / (2*pi*sqrt(det(cov+I))), which
-    integrates to 1 over dx dp.  The no-click probability of an ideal
-    on/off detector is the vacuum overlap 4*pi*Q(0).
-    """
-    sxx = cov.vxx + 1.0
-    spp = cov.vpp + 1.0
-    sxp = cov.vxp
-    det_s = sxx * spp - sxp * sxp
-    quad = (spp * x * x - 2.0 * sxp * x * p + sxx * p * p) / det_s
-    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det_s))
-
-
-def no_click_probability(cov: CovarianceMatrix) -> float:
-    """Probability that an ideal on/off detector sees no photon: 2/sqrt(det(cov+I))."""
-    sxx = cov.vxx + 1.0
-    spp = cov.vpp + 1.0
-    det_s = sxx * spp - cov.vxp * cov.vxp
-    return 2.0 / math.sqrt(det_s)
-
-
 def _bs_gram_excess(trace, det, eff_t):
-    """det(eff_t*cov + (2-eff_t)*I/... ) - 4, i.e. 4/P^2 - 4, in invariant form.
+    """u = 4/P^2 - 4 = eff_t^2*(det - trace + 1) + 2*eff_t*(trace - 2).
 
-    Expanding det(t*gamma + (2-t)*I diag form) = t^2*det + t*(2-t)*trace
-    + (2-t)^2 and subtracting 4 analytically gives
-
-        u = eff_t^2*(det - trace + 1) + 2*eff_t*(trace - 2),
-
-    which avoids the 4 - 4 cancellation that ruins accuracy at small
-    eff_t.  Accepts scalars or broadcasting numpy arrays; u >= 0 on the
-    physical region 1 <= det <= (trace/2)^2 with 0 <= eff_t <= 1.
+    4/P^2 = det(t*cov + (2-t)*I) = t^2*det + t*(2-t)*trace + (2-t)^2 at
+    t = eff_t; subtracting 4 analytically avoids the 4 - 4 cancellation
+    that ruins accuracy at small eff_t.  Accepts scalars or broadcasting
+    numpy arrays; u >= 0 on the physical region 1 <= det <= (trace/2)^2
+    with 0 <= eff_t <= 1.
     """
     return eff_t * eff_t * (det - trace + 1.0) + 2.0 * eff_t * (trace - 2.0)
 

@@ -19,6 +19,7 @@ from .gaussian import (
     SqueezerParams,
     _click_probability,
     _require_physical,
+    trace_det_from_squeezer,
 )
 
 # numpy draws binomials with an int64 trial count, and Poisson counts with a
@@ -103,6 +104,8 @@ class ClickRecord:
     def __post_init__(self):
         if not 0.0 <= self.t_nominal <= 1.0:
             raise ValueError(f"t_nominal = {self.t_nominal} outside [0, 1]")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"trials exceeds {_MAX_TRIALS}, the largest count numpy can draw")
         if not 0 <= self.clicks <= self.trials:
             raise ValueError(f"clicks = {self.clicks} outside [0, trials = {self.trials}]")
 
@@ -155,10 +158,11 @@ def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) 
 def expected_click_rate(params: SqueezerParams, eta: float, rep_rate: float) -> float:
     """Low-efficiency approximation to the click rate at full transmittance.
 
-    rate = eta*rep_rate*((h-1/2)*(g+1/g)-1)/2, valid to first order in
-    eta.  Used to calibrate the overall efficiency from measured rates.
+    rate = eta*rep_rate*(trace - 2)/4, the slope of 1 - P as eta -> 0,
+    valid to first order in eta.  Used to calibrate the overall
+    efficiency from measured rates.
     """
-    return 0.5 * eta * rep_rate * ((params.h - 0.5) * (params.g + 1.0 / params.g) - 1.0)
+    return 0.25 * eta * rep_rate * (trace_det_from_squeezer(params)[0] - 2.0)
 
 
 def _expected_dark(dark_rate, duration) -> int:

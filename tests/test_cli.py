@@ -393,6 +393,17 @@ class TestEstimate:
         ) == 0
         assert "# sqclick manifest" in out.read_text()
 
+    def test_trial_count_beyond_int64_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "clicks.csv"
+        data.write_text(
+            f"t_nominal,trials,clicks,dark_subtracted\n1,{'9' * 401},300,0\n0.5,100000,100,0\n"
+        )
+        assert main(["estimate", "--data", str(data), "--eta", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert f"{data}:2:" in err
+        assert "trials" in err
+        assert "Traceback" not in err
+
     def test_missing_data_exit_code(self):
         assert main(["estimate", "--data", "/nonexistent.csv", "--eta", "0.5"]) == 2
 
@@ -544,6 +555,28 @@ class TestModefit:
         path = tmp_path / "few.csv"
         path.write_text("0.1,0.99\n0.2,0.97\n0.3,0.95\n")
         assert main(["modefit", "--data", str(path), "--max-modes", "3"]) == 4
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [(1, "nan"), (2, "nan"), (0, "nan"), (2, "inf"), (0, "2"), (1, "1e-160"), (2, "1e308")],
+        ids=["p-nan", "sigma-nan", "eff-t-nan", "sigma-inf", "eff-t-above-one",
+             "p-overflowing-4-over-p-squared", "sigma-overflowing-its-propagated-error"],
+    )
+    def test_sample_outside_domain_exit_code(self, tmp_path, capfd, column, value):
+        # capfd, not capsys: LAPACK writes its complaints straight to file descriptor 1
+        rows = []
+        for k in range(12):
+            t = 0.05 + 0.07 * k
+            row = [repr(t), repr(no_click_from_invariants(TRACE0, DET0, t)), "1e-6"]
+            if k == 3:
+                row[column] = value
+            rows.append(" ".join(row))
+        path = tmp_path / "samples.txt"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["modefit", "--data", str(path), "--max-modes", "3"]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sqclick: error:")
 
 
 def command_argv(command, tmp_path):

@@ -189,22 +189,24 @@ class TestLogLikelihood:
         records = noiseless_records(TRACE0, DET0, 0.3, n=1_000_000)
         trace_axis = np.linspace(2.05, 3.0, 7)
         det_axis = np.linspace(1.0, 1.5, 5)
-        grid = likelihood_grid(records, 0.3, trace_axis, det_axis)
+        log_l = likelihood_grid(records, 0.3, trace_axis, det_axis)
+        assert log_l.shape == (7, 5)
         for i in (0, 3, 6):
             for j in (0, 2, 4):
-                if grid.excluded[i, j]:
+                if not check_physicality(trace_axis[i], det_axis[j]):
+                    assert log_l[i, j] == float("-inf")
                     continue
                 ref = reference_log_likelihood(trace_axis[i], det_axis[j], records, 0.3)
-                assert grid.log_l[i, j] == pytest.approx(ref, rel=1e-9)
+                assert log_l[i, j] == pytest.approx(ref, rel=1e-9)
                 scalar = log_likelihood(trace_axis[i], det_axis[j], records, 0.3)
                 assert scalar == pytest.approx(ref, rel=1e-9)
 
     def test_grid_excludes_forbidden_region(self):
-        records = noiseless_records(TRACE0, DET0, 0.3, n=1000)
-        grid = likelihood_grid(records, 0.3, np.array([2.0]), np.array([1.0, 1.2]))
-        assert not grid.excluded[0, 0]
-        assert grid.excluded[0, 1]  # det = 1.2 > (2/2)^2
-        assert grid.log_l[0, 1] == float("-inf")
+        # vacuum data have no clicks, so the vacuum cell on the boundary is finite
+        records = noiseless_records(2.0, 1.0, 0.3, n=1000)
+        log_l = likelihood_grid(records, 0.3, np.array([2.0]), np.array([1.0, 1.2]))
+        assert log_l[0, 0] == 0.0
+        assert log_l[0, 1] == float("-inf")  # det = 1.2 > (2/2)^2
 
 
 class TestMlEstimate:
@@ -378,7 +380,7 @@ def test_ml_estimate_reaches_dense_grid_maximum(
         np.linspace(1.0, 0.25 * trace_hi * trace_hi, 150),
     )
     log_l = est.log_likelihood_at_max
-    assert log_l >= grid.log_l.max() - 1e-9 * abs(log_l)
+    assert log_l >= grid.max() - 1e-9 * abs(log_l)
     assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
 
 
@@ -507,7 +509,7 @@ def assert_det_reliable_matches_grid(records, eta):
     if top - 1.0 < 1e-9:  # det pinned by the constraints
         assert est.det_reliable
         return
-    log_l = likelihood_grid(records, eta, [est.trace], np.linspace(1.0, top, 2001)).log_l
+    log_l = likelihood_grid(records, eta, [est.trace], np.linspace(1.0, top, 2001))
     spread = log_l.max() - log_l.min()
     if abs(spread - FLATNESS_NATS) >= 1e-3:
         assert est.det_reliable == (spread >= FLATNESS_NATS), spread

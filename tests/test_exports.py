@@ -1,0 +1,12 @@
+import inspect
+
+import sqclick
+
+
+def test_all_matches_public_names():
+    # __init__ lists each public name twice, in its imports and in __all__
+    for name in sqclick.__all__:
+        assert hasattr(sqclick, name), name
+    public = {name for name, value in vars(sqclick).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(sqclick.__all__)

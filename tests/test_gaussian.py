@@ -10,20 +10,18 @@ from sqclick import (
     QuadratureVariances,
     SqueezerParams,
     UnphysicalStateError,
-    apply_beamsplitter,
     check_physicality,
     click_probability_from_invariants,
     cov_from_squeezer,
     gain_bounds_from_trace,
     no_click_from_invariants,
-    no_click_probability,
-    purity,
     purity_from_h,
-    q_function,
     squeezer_from_trace_det,
     trace_det_from_squeezer,
     variances_from_invariants,
 )
+
+from matrix_oracle import apply_beamsplitter, no_click_probability, purity, q_function
 
 # Running example state used throughout: a slightly mixed squeezed vacuum.
 TRACE0, DET0 = 2.321, 1.156
