@@ -7,85 +7,39 @@ This package provides the forward Monte Carlo simulator of that
 experiment, the exact two-point inversion, a constrained
 maximum-likelihood estimator, the classical-gain and homodyne reference
 estimators, and the ensemble machinery for error analysis.
+
+The namespace is lazy (PEP 562): a public name imports its module on
+first access, so ``import sqclick`` alone loads no submodule and no numpy.
 """
 
 __version__ = "0.1.0"
 
-from .ensemble import EnsembleResult, RunResult, derive_seed, eta_sweep, run_ensemble, state_sweep
-from .estimate import (
-    Estimate,
-    EstimationError,
-    classical_estimate,
-    estimate_eta,
-    homodyne_correct,
-    invert_two_point,
-    likelihood_grid,
-    log_likelihood,
-    ml_estimate,
-    mode_count_fit,
-    sensitivity,
-)
-from .gaussian import (
-    PHYS_TOL,
-    CovarianceMatrix,
-    QuadratureVariances,
-    SqueezerParams,
-    UnphysicalStateError,
-    check_physicality,
-    click_probability_from_invariants,
-    cov_from_squeezer,
-    gain_bounds_from_trace,
-    no_click_from_invariants,
-    purity_from_h,
-    squeezer_from_trace_det,
-    trace_det_from_squeezer,
-    variances_from_invariants,
-)
-from .simulate import (
-    ClickRecord,
-    ExperimentConfig,
-    expected_click_rate,
-    perturbed_eta,
-    simulate_run,
-    subtract_dark,
-)
+_EXPORTS = {
+    "gaussian": (
+        "CovarianceMatrix", "SqueezerParams", "QuadratureVariances", "UnphysicalStateError",
+        "EstimationError", "PHYS_TOL", "cov_from_squeezer", "trace_det_from_squeezer",
+        "squeezer_from_trace_det", "variances_from_invariants", "purity_from_h",
+        "no_click_from_invariants", "click_probability_from_invariants",
+        "gain_bounds_from_trace", "check_physicality", "invert_two_point"),
+    "simulate": ("ExperimentConfig", "ClickRecord", "simulate_run", "expected_click_rate",
+                 "subtract_dark", "perturbed_eta"),
+    "estimate": ("Estimate", "sensitivity", "log_likelihood", "likelihood_grid", "ml_estimate",
+                 "classical_estimate", "homodyne_correct", "estimate_eta", "mode_count_fit"),
+    "ensemble": ("EnsembleResult", "RunResult", "derive_seed", "run_ensemble", "eta_sweep",
+                 "state_sweep"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_OWNER)
 
-__all__ = [
-    "CovarianceMatrix",
-    "SqueezerParams",
-    "QuadratureVariances",
-    "UnphysicalStateError",
-    "PHYS_TOL",
-    "cov_from_squeezer",
-    "trace_det_from_squeezer",
-    "squeezer_from_trace_det",
-    "variances_from_invariants",
-    "purity_from_h",
-    "no_click_from_invariants",
-    "click_probability_from_invariants",
-    "gain_bounds_from_trace",
-    "check_physicality",
-    "ExperimentConfig",
-    "ClickRecord",
-    "simulate_run",
-    "expected_click_rate",
-    "subtract_dark",
-    "perturbed_eta",
-    "Estimate",
-    "EstimationError",
-    "invert_two_point",
-    "sensitivity",
-    "log_likelihood",
-    "likelihood_grid",
-    "ml_estimate",
-    "classical_estimate",
-    "homodyne_correct",
-    "estimate_eta",
-    "mode_count_fit",
-    "EnsembleResult",
-    "RunResult",
-    "derive_seed",
-    "run_ensemble",
-    "eta_sweep",
-    "state_sweep",
-]
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    globals()[name] = value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

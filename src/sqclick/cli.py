@@ -5,6 +5,9 @@ Every command writes its output through ``_emit``: an ``--output`` file
 naming the command and its arguments, followed by exactly what stdout
 would carry without ``--output``.  Stdout carries the plain content, so
 repeated runs with the same seed are byte-identical.
+
+``estimate`` and ``ensemble``, and with them numpy, are imported inside
+the commands that call them, so ``invert`` and ``--help`` start without numpy.
 """
 
 import argparse
@@ -12,13 +15,13 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .ensemble import eta_sweep, state_sweep
-from .estimate import EstimationError, invert_two_point, ml_estimate, mode_count_fit
 from .gaussian import (
+    EstimationError,
     SqueezerParams,
     _require_physical,
     _state_summary,
     check_physicality,
+    invert_two_point,
     squeezer_from_trace_det,
     trace_det_from_squeezer,
 )
@@ -95,6 +98,9 @@ def _lines(lines):
 
 
 def cmd_invert(args) -> int:
+    for flag in ("t1", "t2", "eta"):
+        if not 0.0 < getattr(args, flag) <= 1.0:
+            raise ValueError(f"--{flag} {getattr(args, flag)} outside (0, 1]")
     trace, det = invert_two_point(args.eta * args.t1, args.p1, args.eta * args.t2, args.p2)
     physical = check_physicality(trace, det)
     lines = _key_value_lines(trace=trace, det=det, physical=physical)
@@ -117,6 +123,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .estimate import ml_estimate
+
     records = read_click_records(args.data)
     if args.dark_rate != 0.0 or args.duration is not None:
         if args.duration is None:
@@ -133,6 +141,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .ensemble import eta_sweep, state_sweep
+
     mapping = read_key_values(args.config)
     config = config_from_mapping(mapping)
     if args.exact_knowledge:
@@ -159,6 +169,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_modefit(args) -> int:
+    from .estimate import mode_count_fit
+
     rows, n_modes = mode_count_fit(read_mode_samples(args.data), args.max_modes)
     fields = {}
     for _m, degree, rss, chi2_dof in rows:

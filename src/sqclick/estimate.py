@@ -1,18 +1,19 @@
 """Inference of the covariance-matrix invariants from click statistics.
 
-Two routes are implemented.  ``invert_two_point`` solves the exact 2x2
-linear system relating 4/P^2 to (trace, det) for two transmittance
-settings; it is algebraically exact but, at low detection efficiency,
-amplifies probability errors in the determinant by a factor 4/eta more
-than in the trace (see ``sensitivity``).  ``ml_estimate`` uses every
-setting through a binomial likelihood maximized exactly over the physical
-region 1 <= det <= (trace/2)^2: in a = det - trace + 1, b = trace - 2 each
-4/P^2 - 4 is linear, Newton's method finds the interior, pure-edge and
-thermal-edge maxima, the best wins (exact ties go to the smaller det), and
-det is flagged unreliable when neither end of the admissible det interval
-at the optimal trace lies FLATNESS_NATS below the maximum.  The solver
-works on (R, S) blocks, R runs by S settings, and solves every row on its
-own: ``run_ensemble`` hands it all its runs at once and gets, bit for bit,
+Two routes are implemented.  The exact two-point inversion
+``invert_two_point`` lives in ``gaussian``, next to the forward map it
+inverts, and is re-exported here; it is algebraically exact but, at low
+detection efficiency, amplifies probability errors in the determinant by
+a factor 4/eta more than in the trace (see ``sensitivity``).
+``ml_estimate`` uses every setting through a binomial likelihood
+maximized exactly over the physical region 1 <= det <= (trace/2)^2: in
+a = det - trace + 1, b = trace - 2 each 4/P^2 - 4 is linear, Newton's
+method finds the interior, pure-edge and thermal-edge maxima, the best
+wins (exact ties go to the smaller det), and det is flagged unreliable
+when neither end of the admissible det interval at the optimal trace
+lies FLATNESS_NATS below the maximum.  The solver works on (R, S)
+blocks, R runs by S settings, and solves every row on its own:
+``run_ensemble`` hands it all its runs at once and gets, bit for bit,
 what ``ml_estimate``, the same solver at R = 1, gives each run alone.
 
 The module also carries the reference estimators (classical gain ratios,
@@ -25,20 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
+from .gaussian import (  # noqa: F401  (DEGENERATE_T_TOL, invert_two_point: the old import path)
+    DEGENERATE_T_TOL,
+    EstimationError,
     PHYS_TOL,
     QuadratureVariances,
     SqueezerParams,
     UnphysicalStateError,
     _bs_gram_excess,
     _require_physical,
+    _solve2,
     _state_summary,
     check_physicality,
+    invert_two_point,
 )
 from .simulate import _ETA_FLOOR, expected_click_rate
-
-# Two transmittances closer than this give a numerically meaningless inversion.
-DEGENERATE_T_TOL = 1e-6
 
 # Log-likelihood range along the determinant direction below which the
 # determinant estimate carries no information.  Even perfectly
@@ -46,10 +48,6 @@ DEGENERATE_T_TOL = 1e-6
 # fluctuations alone, while informative data sit orders of magnitude
 # higher (tens of nats upward), so 3 nats splits the regimes cleanly.
 FLATNESS_NATS = 3.0
-
-
-class EstimationError(ValueError):
-    """Data insufficient or degenerate for the requested estimate."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -65,30 +63,6 @@ class Estimate:
     g_max_bound: float
     h_max_bound: float
     log_likelihood_at_max: float
-
-
-def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float, float]:
-    """Exact inversion of two (effective transmittance, no-click probability) pairs.
-
-    Solves u = 4/P^2 - 4 = t^2*a + 2*t*b for a = det - trace + 1, b = trace - 2
-    and returns the raw (trace, det) = (2 + b, a + b + 1); no physicality
-    clamping is applied, so noisy inputs may yield det < 1.  The t's must
-    already include the detection efficiency.
-    """
-    for t in (t1, t2):
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"effective transmittance {t} outside (0, 1]")
-    for p in (p1, p2):
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"no-click probability {p} outside (0, 1]")
-    if abs(t1 - t2) < DEGENERATE_T_TOL:
-        raise EstimationError(
-            f"transmittances {t1} and {t2} too close to invert (|dt| < {DEGENERATE_T_TOL})"
-        )
-    u1, u2 = (4.0 * (1.0 - p) * (1.0 + p) / (p * p) for p in (p1, p2))
-    # The second row times 2*t1/t2^2 makes the system symmetric.
-    a, b = _solve2(t1 * t1, 2.0 * t1, 4.0 * t1 / t2, u1, 2.0 * t1 * u2 / (t2 * t2))
-    return float(2.0 + b), float(a + b + 1.0)
 
 
 def sensitivity(p1: float, eta: float) -> tuple[float, float]:
@@ -178,12 +152,6 @@ def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> np.ndarray:
     dt = np.asarray(det_axis, dtype=float)[None, :]
     log_l = _loglike(tr[..., None], dt[..., None], *_setting_arrays([data], [eta_assumed]))
     return np.where(check_physicality(tr, dt), log_l, -np.inf)
-
-
-def _solve2(h11, h12, h22, g1, g2):
-    """Solution of the symmetric 2x2 systems [[h11, h12], [h12, h22]] x = g, row by row."""
-    d = h11 * h22 - h12 * h12
-    return (h22 * g1 - h12 * g2) / d, (h11 * g2 - h12 * g1) / d
 
 
 def _edge_max(b, kappa, lam, e2, e1, ns, cs):

@@ -1,4 +1,5 @@
-"""Covariance-matrix algebra for zero-mean single-mode Gaussian states.
+"""Covariance-matrix algebra for zero-mean single-mode Gaussian states,
+the click forward map and its exact two-point inversion.
 
 Conventions
 -----------
@@ -11,6 +12,10 @@ every function in the package assumes vacuum = 1.
 Physicality checks (Heisenberg bound det >= 1, discriminant sign) use the
 absolute tolerance ``PHYS_TOL`` so that round-trip identities are not
 rejected by their own floating-point rounding.
+
+After a beamsplitter of effective transmittance t, 4/P^2 - 4 is linear in
+(trace, det) (``_bs_gram_excess``); ``invert_two_point`` solves that system
+for two settings.  The module imports no numpy, so ``invert`` runs without it.
 """
 
 import math
@@ -18,9 +23,16 @@ from dataclasses import dataclass
 
 PHYS_TOL = 1e-9
 
+# Two transmittances closer than this give a numerically meaningless inversion.
+DEGENERATE_T_TOL = 1e-6
+
 
 class UnphysicalStateError(ValueError):
     """Covariance data violating positivity or the Heisenberg bound det >= 1."""
+
+
+class EstimationError(ValueError):
+    """Data insufficient or degenerate for the requested estimate."""
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,8 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
     vmax = (trace + sqrt(trace^2 - 4*det))/2, vmin = det/vmax (no cancellation
     at large trace).  A discriminant in [-PHYS_TOL, 0) is clamped to zero;
     anything more negative means (trace, det) cannot come from a real matrix.
+    On the thermal edge det = (trace/2)^2, det/vmax can round above vmax;
+    vmin is capped at vmax, which is exact there since vmin = vmax.
     """
     if det < 1.0 - PHYS_TOL:
         raise UnphysicalStateError(f"det = {det} violates det >= 1")
@@ -135,7 +149,7 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
             f"trace^2 - 4*det = {disc} < 0: no real quadrature variances"
         )
     vmax = 0.5 * (trace + math.sqrt(max(disc, 0.0)))
-    return QuadratureVariances(vmin=det / vmax, vmax=vmax)
+    return QuadratureVariances(vmin=min(det / vmax, vmax), vmax=vmax)
 
 
 def purity_from_h(h: float) -> float:
@@ -159,6 +173,36 @@ def _bs_gram_excess(trace, det, eff_t):
     with 0 <= eff_t <= 1.
     """
     return eff_t * eff_t * (det - trace + 1.0) + 2.0 * eff_t * (trace - 2.0)
+
+
+def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float, float]:
+    """Exact inversion of two (effective transmittance, no-click probability) pairs.
+
+    Solves u = 4/P^2 - 4 = t^2*a + 2*t*b for a = det - trace + 1, b = trace - 2
+    and returns the raw (trace, det) = (2 + b, a + b + 1); no physicality
+    clamping is applied, so noisy inputs may yield det < 1.  The t's must
+    already include the detection efficiency.
+    """
+    for t in (t1, t2):
+        if not 0.0 < t <= 1.0:
+            raise ValueError(f"effective transmittance {t} outside (0, 1]")
+    for p in (p1, p2):
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"no-click probability {p} outside (0, 1]")
+    if abs(t1 - t2) < DEGENERATE_T_TOL:
+        raise EstimationError(
+            f"transmittances {t1} and {t2} too close to invert (|dt| < {DEGENERATE_T_TOL})"
+        )
+    u1, u2 = (4.0 * (1.0 - p) * (1.0 + p) / (p * p) for p in (p1, p2))
+    # The second row times 2*t1/t2^2 makes the system symmetric.
+    a, b = _solve2(t1 * t1, 2.0 * t1, 4.0 * t1 / t2, u1, 2.0 * t1 * u2 / (t2 * t2))
+    return float(2.0 + b), float(a + b + 1.0)
+
+
+def _solve2(h11, h12, h22, g1, g2):
+    """Solution of the symmetric 2x2 systems [[h11, h12], [h12, h22]] x = g, row by row."""
+    d = h11 * h22 - h12 * h12
+    return (h22 * g1 - h12 * g2) / d, (h11 * g2 - h12 * g1) / d
 
 
 def no_click_from_invariants(trace: float, det: float, eff_t: float) -> float:

@@ -13,8 +13,6 @@ Poisson stream.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gaussian import (
     SqueezerParams,
     _click_probability,
@@ -150,7 +148,9 @@ def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) 
     transmittances; the (possibly perturbed) true values stay internal,
     exactly like a real calibration error would.
     """
-    rows, _ = _draw_clicks(trace, det, config, [np.random.default_rng(seed)])
+    from numpy.random import default_rng  # deferred: tables and the CLI import this module without numpy
+
+    rows, _ = _draw_clicks(trace, det, config, [default_rng(seed)])
     n = config.n_trials
     return [ClickRecord(t, n, c) for t, c in zip(config.transmittances, rows[0])]
 
@@ -196,7 +196,9 @@ def perturbed_eta(config: ExperimentConfig, seed: int) -> float:
     """
     if config.eta_rel_uncertainty == 0.0:
         return config.eta_apd
-    return _draw_etas(config, [np.random.default_rng(seed)])[0]
+    from numpy.random import default_rng
+
+    return _draw_etas(config, [default_rng(seed)])[0]
 
 
 def _draw_etas(config, rngs):

@@ -124,6 +124,19 @@ class TestInvert:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag, t1, t2, eta",
+        [("t1", "1.6", "0.25", "0.5"), ("t2", "0.5", "1.5", "0.5"), ("eta", "0.5", "0.25", "2")],
+    )
+    def test_flag_outside_unit_interval_exit_code(self, flag, t1, t2, eta, capsys):
+        # each product eta*t lies in (0, 1], so only the flags themselves are out of range
+        code = main(["invert", "--t1", t1, "--p1", "0.9", "--t2", t2, "--p2", "0.95",
+                     "--eta", eta])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{flag} " in captured.err
+
 
 @pytest.mark.parametrize(
     "trace, det", [(TRACE0, DET0), (3.0, 1.5), (2.05, 1.001), (10.0, 4.0)]
@@ -211,6 +224,13 @@ class TestSimulate:
              "--seed", "3", "--output", str(path)]
         ) == 0
         assert "# state_g = 1\n" in path.read_text()
+
+    def test_thermal_edge_state_at_large_trace_is_accepted(self, base_config, capsys):
+        # vmin = det/vmax rounds an ulp above vmax here
+        assert main(
+            ["simulate", "--config", base_config, "--trace", "493497540156.7618",
+             "--det", "6.088495553519368e+22"]
+        ) == 0
 
     def test_unphysical_state_exit_code(self, base_config):
         assert main(

@@ -307,7 +307,15 @@ class TestMlEstimate:
         assert math.isfinite(est.trace) and math.isfinite(est.log_likelihood_at_max)
         assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
 
-    SPARSE = [(1.0, 1000, 3), (0.5, 1000, 1)]
+    def test_saturated_setting_beside_a_dark_one_ends_on_the_thermal_edge(self):
+        # The supremum lies at trace -> inf; the solver stops on the thermal
+        # edge at trace ~ 3e16, where det/vmax used to round above vmax.
+        records = [ClickRecord(1.0, 1000, 1000), ClickRecord(1e-50, 1000, 0)]
+        est = ml_estimate(records, 1.0)
+        assert est.vmin == est.vmax
+        assert est.det == pytest.approx(0.25 * est.trace * est.trace, rel=1e-15)
+
+    SPARSE =[(1.0, 1000, 3), (0.5, 1000, 1)]
 
     @pytest.mark.parametrize("eta", [1e-13, 1e-60, 1e-170])
     def test_efficiency_below_floor_rejected(self, eta):

@@ -110,6 +110,15 @@ class TestVariancesFromInvariants:
         qv = variances_from_invariants(2.0, 1.0 + 1e-13)
         assert qv.vmin == pytest.approx(qv.vmax)
 
+    def test_thermal_states_at_large_trace_are_accepted(self):
+        # on det = (trace/2)^2, det/vmax can round an ulp above vmax, which the
+        # absolute PHYS_TOL cannot absorb once vmax is large
+        for trace in np.logspace(4.0, 17.0, 2001):
+            det = (0.5 * trace) ** 2
+            qv = variances_from_invariants(trace, det)
+            assert qv.vmin <= qv.vmax
+            assert qv.vmin * qv.vmax == pytest.approx(det, rel=1e-15)
+
 
 class TestPurity:
     def test_vacuum(self):
