@@ -24,7 +24,8 @@ _EXPORTS = {
     "simulate": ("ExperimentConfig", "ClickRecord", "simulate_run", "expected_click_rate",
                  "subtract_dark", "perturbed_eta"),
     "estimate": ("Estimate", "sensitivity", "log_likelihood", "likelihood_grid", "ml_estimate",
-                 "classical_estimate", "homodyne_correct", "estimate_eta", "mode_count_fit"),
+                 "classical_estimate", "homodyne_correct", "estimate_eta"),
+    "modes": ("mode_count_fit",),
     "ensemble": ("EnsembleResult", "RunResult", "derive_seed", "run_ensemble", "eta_sweep",
                  "state_sweep"),
 }

@@ -6,8 +6,8 @@ naming the command and its arguments, followed by exactly what stdout
 would carry without ``--output``.  Stdout carries the plain content, so
 repeated runs with the same seed are byte-identical.
 
-``estimate`` and ``ensemble``, and with them numpy, are imported inside
-the commands that call them, so ``invert`` and ``--help`` start without numpy.
+``estimate``, ``ensemble`` and ``modes`` are imported inside the commands
+that call them, so ``invert``, ``modefit`` and ``--help`` start without numpy.
 """
 
 import argparse
@@ -169,7 +169,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_modefit(args) -> int:
-    from .estimate import mode_count_fit
+    from .modes import mode_count_fit
 
     rows, n_modes = mode_count_fit(read_mode_samples(args.data), args.max_modes)
     fields = {}

@@ -17,8 +17,8 @@ blocks, R runs by S settings, and solves every row on its own:
 what ``ml_estimate``, the same solver at R = 1, gives each run alone.
 
 The module also carries the reference estimators (classical gain ratios,
-loss-corrected homodyne variances), the efficiency calibration from
-click rates, and a polynomial-order diagnostic for multimode light.
+loss-corrected homodyne variances) and the efficiency calibration from
+click rates; the multimode diagnostic comes from the numpy-free ``modes``.
 """
 
 import math
@@ -40,6 +40,7 @@ from .gaussian import (  # noqa: F401  (DEGENERATE_T_TOL, invert_two_point: the 
     check_physicality,
     invert_two_point,
 )
+from .modes import _mode_fit_table, mode_count_fit  # noqa: F401  (the old import path)
 from .simulate import _ETA_FLOOR, expected_click_rate
 
 # Log-likelihood range along the determinant direction below which the
@@ -365,79 +366,3 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
         raise EstimationError("all calibration points are at vacuum gain; eta undetermined")
     eta = float(np.dot(rates, preds) / np.dot(preds, preds))
     return min(max(eta, _ETA_FLOOR), 1.0)
-
-
-@np.errstate(over="raise", divide="raise", invalid="raise")
-def _mode_fit_table(samples, max_modes):
-    """Weighted polynomial fits of 4/p^2 - 4 for each candidate mode count.
-
-    Returns one row per candidate mode count, (n_modes, degree, rss,
-    chi2_per_dof), and no rows for vacuum samples.  samples are (eff_t, p) or
-    (eff_t, p, sigma_p) tuples; when sigma_p is present the chi^2 uses
-    the propagated error 8*sigma_p/p^3, otherwise the noise scale is
-    taken from the highest-degree fit (with a floor so exact data pass).
-    """
-    if max_modes < 1:
-        raise ValueError("max_modes must be >= 1")
-    n = len(samples)
-    if n < 2 * max_modes + 1:
-        raise EstimationError(
-            f"{n} samples cannot constrain {max_modes} modes (need {2 * max_modes + 1})"
-        )
-    t = np.array([s[0] for s in samples], dtype=float)
-    p = np.array([s[1] for s in samples], dtype=float)
-    # Written so that NaN fails each test.
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ValueError("effective transmittances must lie in [0, 1]")
-    if not np.all((p > 0.0) & (p <= 1.0)):
-        raise ValueError("no-click probabilities must lie in (0, 1]")
-    has_sigma = all(len(s) >= 3 for s in samples)
-    if has_sigma:
-        sigma_p = np.array([s[2] for s in samples], dtype=float)
-        if not np.all(np.isfinite(sigma_p) & (sigma_p > 0.0)):
-            raise ValueError("sigma_p values must be finite and positive")
-    if np.unique(t).size != n:
-        raise EstimationError("effective transmittances must be distinct")
-    z = 4.0 / (p * p) - 4.0
-    scale = float(np.max(np.abs(z)))
-    if scale < 1e-12:
-        return []
-
-    powers = t[:, None] ** np.arange(1, 2 * max_modes + 1)[None, :]
-    sigma_z = 8.0 * sigma_p / p**3 if has_sigma else np.ones(n)
-    fits = []  # (rss, chi^2 before the noise scale) per mode count
-    for m in range(1, max_modes + 1):
-        cols = powers[:, : 2 * m]
-        coef, *_ = np.linalg.lstsq(cols / sigma_z[:, None], z / sigma_z, rcond=None)
-        resid = z - cols @ coef
-        fits.append((float(np.sum(resid**2)), float(np.sum((resid / sigma_z) ** 2))))
-    # Without sigmas the noise scale comes from the highest-degree fit, the last one.
-    noise_var = 1.0 if has_sigma else max(fits[-1][0] / (n - 2 * max_modes), (1e-10 * scale) ** 2)
-    return [(m, 2 * m, rss, chi2 / noise_var / (n - 2 * m))
-            for m, (rss, chi2) in enumerate(fits, start=1)]
-
-
-def mode_count_fit(samples: list, max_modes: int) -> tuple[list, int]:
-    """Smallest number of Gaussian modes consistent with P(eff_t) samples.
-
-    For N modes, 1/P^2 is a polynomial of degree 2N in the effective
-    transmittance with value 1 at zero; the fit therefore models
-    4/p^2 - 4 without a constant term and picks the smallest N whose
-    chi^2 per degree of freedom is below 2.  Returns the fit rows, one
-    (n_modes, degree, rss, chi2_per_dof) per candidate N, and that N.
-    Identically-vacuum samples (p = 1 everywhere) give no rows and N = 0:
-    no signal to fit.
-    """
-    try:
-        rows = _mode_fit_table(samples, max_modes)
-    except FloatingPointError as exc:  # e.g. p = 1e-160 overflows 4/p^2
-        raise ValueError(f"the samples overflow the fit in float64 ({exc})") from exc
-    if not rows:
-        return rows, 0
-    for m, _deg, _rss, chi2_dof in rows:
-        if chi2_dof < 2.0:
-            return rows, m
-    raise EstimationError(
-        f"no mode count up to {max_modes} fits the samples (min chi2/dof = "
-        f"{min(r[3] for r in rows):.3g})"
-    )

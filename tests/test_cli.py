@@ -10,6 +10,7 @@ import sqclick
 from sqclick import (
     estimate,
     gain_bounds_from_trace,
+    modes,
     no_click_from_invariants,
     variances_from_invariants,
 )
@@ -551,14 +552,14 @@ class TestModefit:
         assert float(rec["degree_4_rss"]) < 1e-15
 
     def test_fit_table_built_once(self, tmp_path, monkeypatch):
-        original = estimate._mode_fit_table
+        original = modes._mode_fit_table
         calls = []
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(estimate, "_mode_fit_table", counted)
+        monkeypatch.setattr(modes, "_mode_fit_table", counted)
         assert main(["modefit", "--data", self._write_samples(tmp_path), "--max-modes", "3"]) == 0
         assert len(calls) == 1
 
@@ -576,27 +577,53 @@ class TestModefit:
         path.write_text("0.1,0.99\n0.2,0.97\n0.3,0.95\n")
         assert main(["modefit", "--data", str(path), "--max-modes", "3"]) == 4
 
-    @pytest.mark.parametrize(
-        "column,value",
-        [(1, "nan"), (2, "nan"), (0, "nan"), (2, "inf"), (0, "2"), (1, "1e-160"), (2, "1e308")],
-        ids=["p-nan", "sigma-nan", "eff-t-nan", "sigma-inf", "eff-t-above-one",
-             "p-overflowing-4-over-p-squared", "sigma-overflowing-its-propagated-error"],
-    )
-    def test_sample_outside_domain_exit_code(self, tmp_path, capfd, column, value):
-        # capfd, not capsys: LAPACK writes its complaints straight to file descriptor 1
+    @staticmethod
+    def _sample_rows(sigma_p="1e-6"):
         rows = []
         for k in range(12):
             t = 0.05 + 0.07 * k
-            row = [repr(t), repr(no_click_from_invariants(TRACE0, DET0, t)), "1e-6"]
-            if k == 3:
-                row[column] = value
-            rows.append(" ".join(row))
+            rows.append([repr(t), repr(no_click_from_invariants(TRACE0, DET0, t)), sigma_p])
+        return rows
+
+    @staticmethod
+    def _assert_domain_error(tmp_path, capfd, rows, message):
+        # capfd, not capsys: a domain error must leave both file descriptors clean,
+        # including of anything native code might write past sys.stdout
         path = tmp_path / "samples.txt"
-        path.write_text("\n".join(rows) + "\n")
+        path.write_text("".join(" ".join(row) + "\n" for row in rows))
         assert main(["modefit", "--data", str(path), "--max-modes", "3"]) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("sqclick: error:")
+        assert captured.err.startswith(f"sqclick: error: {message}")
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [(1, "nan", "no-click probabilities must lie in (0, 1]"),
+         (2, "nan", "sigma_p values must be finite and positive"),
+         (0, "nan", "effective transmittances must lie in [0, 1]"),
+         (2, "inf", "sigma_p values must be finite and positive"),
+         (0, "2", "effective transmittances must lie in [0, 1]"),
+         (1, "1e-160", "the samples overflow the fit in float64"),
+         (2, "1e308", "the samples overflow the fit in float64")],
+        ids=["p-nan", "sigma-nan", "eff-t-nan", "sigma-inf", "eff-t-above-one",
+             "p-overflowing-4-over-p-squared", "sigma-overflowing-its-propagated-error"],
+    )
+    def test_sample_outside_domain_exit_code(self, tmp_path, capfd, column, value, message):
+        rows = self._sample_rows()
+        rows[3][column] = value
+        self._assert_domain_error(tmp_path, capfd, rows, message)
+
+    @pytest.mark.parametrize("sigma_p", ["1e-300", "1e-200"])
+    def test_sigma_overflowing_chi2_exit_code(self, tmp_path, capfd, sigma_p):
+        # every residual over so small an error squares past the float range
+        self._assert_domain_error(tmp_path, capfd, self._sample_rows(sigma_p),
+                                  "the samples overflow the fit in float64")
+
+    def test_sigma_on_some_samples_only_exit_code(self, tmp_path, capfd):
+        rows = self._sample_rows()
+        for row in rows[6:]:
+            row.pop()
+        self._assert_domain_error(tmp_path, capfd, rows, "6 of the 12 samples carry sigma_p")
 
 
 def command_argv(command, tmp_path):

@@ -4,7 +4,7 @@ import sqclick
 
 
 def test_all_matches_public_names():
-    # __init__ lists each public name twice, in its imports and in __all__
+    # __init__ names each public name once, under its module in _EXPORTS
     for name in sqclick.__all__:
         assert hasattr(sqclick, name), name
     public = {name for name, value in vars(sqclick).items()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sqclick
-from sqclick import gaussian
+from sqclick import gaussian, modes
 
 from test_cli import command_argv
 
@@ -28,30 +28,38 @@ def fresh_python(code, *args):
 
 
 @pytest.mark.parametrize(
-    "command, unloaded",
+    "command, unloaded, code",
     [
-        ("import", ["numpy"]),
-        ("help", ["numpy"]),
-        ("invert", ["numpy"]),
-        ("estimate", ["sqclick.ensemble"]),
-        ("modefit", ["sqclick.ensemble"]),
-        ("simulate", ["sqclick.ensemble", "sqclick.estimate"]),
+        ("import", ["numpy"], 0),
+        ("help", ["numpy"], 0),
+        ("invert", ["numpy"], 0),
+        ("estimate", ["sqclick.ensemble"], 0),
+        ("modefit", ["numpy", "sqclick.estimate", "sqclick.ensemble"], 0),
+        ("modefit-overflow", ["numpy", "sqclick.estimate", "sqclick.ensemble"], 3),
+        ("simulate", ["sqclick.ensemble", "sqclick.estimate"], 0),
     ],
-    ids=["import", "help", "invert", "estimate", "modefit", "simulate"],
+    ids=["import", "help", "invert", "estimate", "modefit", "modefit-overflow", "simulate"],
 )
-def test_command_leaves_modules_it_does_not_run_unloaded(command, unloaded, tmp_path):
+def test_command_leaves_modules_it_does_not_run_unloaded(command, unloaded, code, tmp_path):
     # the command's own output comes first; the last line is its exit code and
-    # which of ``unloaded`` got loaded
-    code = ("import sys\n"
-            "from sqclick.cli import main\n"
-            "try:\n"
-            "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-            "except SystemExit as exc:  # --help exits inside argparse\n"
-            "    code = exc.code\n"
-            f"print(code, [m for m in {unloaded!r} if m in sys.modules])\n")
+    # which of ``unloaded`` got loaded; "modefit-overflow" is modefit on a
+    # sample whose 4/p^2 overflows, an error path
+    script = ("import sys\n"
+              "from sqclick.cli import main\n"
+              "try:\n"
+              "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "except SystemExit as exc:  # --help exits inside argparse\n"
+              "    code = exc.code\n"
+              f"print(code, [m for m in {unloaded!r} if m in sys.modules])\n")
     special = {"import": [], "help": ["--help"]}
-    argv = special[command] if command in special else command_argv(command, tmp_path)
-    assert fresh_python(code, *argv).splitlines()[-1] == "0 []"
+    if command in special:
+        argv = special[command]
+    else:
+        argv = command_argv(command.removesuffix("-overflow"), tmp_path)
+    if command == "modefit-overflow":
+        with open(argv[argv.index("--data") + 1], "a", encoding="utf-8") as fh:
+            fh.write("0.95,1e-160\n")
+    assert fresh_python(script, *argv).splitlines()[-1] == f"{code} []"
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():
@@ -90,5 +98,8 @@ def test_moved_names_keep_their_old_import_path():
 
     for name in ("invert_two_point", "EstimationError", "DEGENERATE_T_TOL", "_solve2"):
         assert getattr(estimate, name) is getattr(gaussian, name)
+    for name in ("mode_count_fit", "_mode_fit_table"):
+        assert getattr(estimate, name) is getattr(modes, name)
+    assert sqclick.mode_count_fit is modes.mode_count_fit
     assert sqclick.invert_two_point is gaussian.invert_two_point
     assert sqclick.EstimationError is estimate.EstimationError
