@@ -6,13 +6,12 @@ naming the command and its arguments, followed by exactly what stdout
 would carry without ``--output``.  Stdout carries the plain content, so
 repeated runs with the same seed are byte-identical.
 
-``estimate``, ``ensemble`` and ``modes`` are imported inside the commands
-that call them, so ``invert``, ``modefit`` and ``--help`` start without numpy.
+Each command imports the modules it runs and builds the manifest only for a file:
+``invert``, ``modefit`` and ``--help`` load no numpy, dataclasses or ``simulate``.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .gaussian import (
@@ -25,7 +24,6 @@ from .gaussian import (
     squeezer_from_trace_det,
     trace_det_from_squeezer,
 )
-from .simulate import simulate_run, subtract_dark
 from .tables import (
     ConfigError,
     _key_value_lines,
@@ -78,17 +76,16 @@ def _emit(args, write, write_details=None, **fields):
     ``write(fh, manifest)`` writes the content: to ``--output`` after the
     provenance manifest of ``args.command`` and ``fields``, or to stdout
     without one.  ``write_details``, a writer of the same kind, writes the
-    ``--details`` file with the same manifest.
+    ``--details`` file with the same manifest, built once for both files.
     """
-    manifest = manifest_lines(args.command, __version__, **fields)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write(fh, manifest)
-    else:
+    files = [(path, writer) for path, writer in
+             ((args.output, write), (write_details and args.details, write_details)) if path]
+    if not args.output:
         write(sys.stdout, [])
-    if write_details and args.details:
-        with open(args.details, "w", encoding="utf-8") as fh:
-            write_details(fh, manifest)
+    manifest = manifest_lines(args.command, __version__, **fields) if files else None
+    for path, writer in files:
+        with open(path, "w", encoding="utf-8") as fh:
+            writer(fh, manifest)
     return EXIT_OK
 
 
@@ -114,6 +111,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import simulate_run
+
     config = load_config(args.config)
     trace, det, g, h = _resolve_state(args)
     records = simulate_run(trace, det, config, args.seed)
@@ -124,6 +123,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     from .estimate import ml_estimate
+    from .simulate import subtract_dark
 
     records = read_click_records(args.data)
     if args.dark_rate != 0.0 or args.duration is not None:
@@ -141,6 +141,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from dataclasses import replace
+
     from .ensemble import eta_sweep, state_sweep
 
     mapping = read_key_values(args.config)

@@ -15,11 +15,11 @@ rejected by their own floating-point rounding.
 
 After a beamsplitter of effective transmittance t, 4/P^2 - 4 is linear in
 (trace, det) (``_bs_gram_excess``); ``invert_two_point`` solves that system
-for two settings.  The module imports no numpy, so ``invert`` runs without it.
+for two settings.  No numpy or dataclasses: the records are validating namedtuples.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 PHYS_TOL = 1e-9
 
@@ -35,19 +35,17 @@ class EstimationError(ValueError):
     """Data insufficient or degenerate for the requested estimate."""
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
+class CovarianceMatrix(namedtuple("CovarianceMatrix", "vxx vpp vxp")):
     """Second moments of a zero-mean single-mode Gaussian state.
 
     vxx, vpp are the variances of x and p; vxp is the symmetrized cross
     moment (1/2)<xp + px>.  Vacuum is (1, 1, 0).
     """
 
-    vxx: float
-    vpp: float
-    vxp: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, vxx, vpp, vxp=0.0):
+        self = tuple.__new__(cls, (vxx, vpp, vxp))  # what the namedtuple's __new__ runs
         if not (self.vxx > 0.0 and self.vpp > 0.0):
             raise UnphysicalStateError(
                 f"quadrature variances must be positive, got ({self.vxx}, {self.vpp})"
@@ -56,6 +54,7 @@ class CovarianceMatrix:
             raise UnphysicalStateError(
                 f"det(cov) = {self.det} violates the Heisenberg bound det >= 1"
             )
+        return self
 
     @property
     def trace(self) -> float:
@@ -66,8 +65,7 @@ class CovarianceMatrix:
         return self.vxx * self.vpp - self.vxp * self.vxp
 
 
-@dataclass(frozen=True)
-class SqueezerParams:
+class SqueezerParams(namedtuple("SqueezerParams", "g h")):
     """Intensity gains of the two-stage amplifier model of the source.
 
     g is the phase-sensitive gain (squeezing), h the phase-insensitive
@@ -75,24 +73,24 @@ class SqueezerParams:
     the vacuum.
     """
 
-    g: float
-    h: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, g, h):
+        self = tuple.__new__(cls, (g, h))
         if self.g < 1.0 or self.h < 1.0:
             raise UnphysicalStateError(
                 f"amplifier gains must satisfy g >= 1 and h >= 1, got ({self.g}, {self.h})"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class QuadratureVariances:
+class QuadratureVariances(namedtuple("QuadratureVariances", "vmin vmax")):
     """Squeezed / anti-squeezed quadrature variance pair."""
 
-    vmin: float
-    vmax: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, vmin, vmax):
+        self = tuple.__new__(cls, (vmin, vmax))
         if not (0.0 < self.vmin <= self.vmax + PHYS_TOL):
             raise UnphysicalStateError(
                 f"need 0 < vmin <= vmax, got ({self.vmin}, {self.vmax})"
@@ -101,6 +99,7 @@ class QuadratureVariances:
             raise UnphysicalStateError(
                 f"vmin*vmax = {self.vmin * self.vmax} < 1 violates the Heisenberg bound"
             )
+        return self
 
 
 def cov_from_squeezer(params: SqueezerParams) -> CovarianceMatrix:

@@ -55,6 +55,10 @@ def _mode_fit_table(samples, max_modes):
     sigma_p = [float(s[2]) for s in samples] if n_sigma else []
     if not all(math.isfinite(x) and x > 0.0 for x in sigma_p):
         raise ValueError("sigma_p values must be finite and positive")
+    for k, (s, x) in enumerate(zip(sigma_p, p)):
+        if s < math.ulp(x):  # a row pinned below its rounding: the fit's verdict is noise
+            raise ValueError(f"sample {k + 1} (eff_t = {t[k]!r}): sigma_p = {s!r} is below "
+                             f"the float resolution {math.ulp(x)!r} of its p = {x!r}")
     if len(set(t)) != n:
         raise EstimationError("effective transmittances must be distinct")
     z = _finite([4.0 / (x * x) - 4.0 for x in p], "4/p^2 - 4")

@@ -6,13 +6,11 @@ manifest block; each writer names its columns once, and that list gives the
 header and picks each row's values.  Records are 'key = value' lines from
 one formatter (bools as true/false).  Readers skip every line starting with
 '#', so any file written here round-trips through the corresponding reader.
+The ``simulate`` records are imported only where they are built.
 """
 
-import datetime
 import numbers
-from dataclasses import asdict
-
-from .simulate import ClickRecord, ExperimentConfig
+import time
 
 FMT = "%.12g"
 
@@ -34,7 +32,7 @@ def _key_value_lines(**fields) -> list:
 
 def manifest_lines(command: str, version: str, **fields) -> list:
     """Commented provenance block embedded at the top of every output file."""
-    created = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return ["# sqclick manifest", f"# command = {command}", f"# version = {version}",
             *(f"# {key} = {value}" for key, value in fields.items()), f"# created = {created}"]
 
@@ -90,12 +88,14 @@ def _parse_float_list(text, where):
         raise ConfigError(f"{where}: {text!r} is not a list of numbers") from exc
 
 
-def config_from_mapping(mapping: dict) -> ExperimentConfig:
+def config_from_mapping(mapping: dict):
     """Build an ExperimentConfig from parsed key-value pairs.
 
     Required keys: rep_rate_hz, duration_s, transmittances, eta_apd.
     Optional: dark_rate_hz, t_uncertainty, eta_rel_uncertainty (default 0).
     """
+    from .simulate import ExperimentConfig
+
     if "transmittances" not in mapping:
         raise ConfigError("missing required config key 'transmittances'")
     try:
@@ -116,7 +116,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path):
     return config_from_mapping(read_key_values(path))
 
 
@@ -143,14 +143,19 @@ def write_click_records(fh, records, manifest: list):
 
 def read_click_records(path) -> list:
     """Read a click table; comment lines and the header row are skipped."""
+    from .simulate import ClickRecord
+
     records = []
     for lineno, line, _raw in _data_lines(path, "t_nominal"):
         parts = line.split(",")
         if len(parts) != 4:
             raise ConfigError(f"{path}:{lineno}: expected 4 comma-separated fields")
         try:
+            subtracted = int(parts[3])
+            if subtracted not in (0, 1):
+                raise ValueError(f"dark_subtracted = {subtracted} is not 0 or 1")
             records.append(ClickRecord(float(parts[0]), int(parts[1]), int(parts[2]),
-                                       bool(int(parts[3]))))
+                                       bool(subtracted)))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not records:
@@ -160,7 +165,7 @@ def read_click_records(path) -> list:
 
 def estimate_lines(est) -> list:
     """Serialize an Estimate as 'key = value' lines, one per field in order."""
-    return _key_value_lines(**asdict(est))
+    return _key_value_lines(**vars(est))
 
 
 def write_sweep(fh, results, manifest: list):

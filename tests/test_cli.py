@@ -425,6 +425,19 @@ class TestEstimate:
         assert "trials" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["2", "-3"])
+    def test_dark_subtracted_flag_other_than_0_or_1_exit_code(self, tmp_path, capsys, flag):
+        # read as true, such a row would silently skip the dark subtraction
+        data = tmp_path / "clicks.csv"
+        data.write_text(
+            f"t_nominal,trials,clicks,dark_subtracted\n1,100000,300,0\n0.5,100000,100,{flag}\n"
+        )
+        argv = ["estimate", "--data", str(data), "--eta", "0.5"]
+        assert main(argv + ["--dark-rate", "300", "--duration", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{data}:3: dark_subtracted = {flag} is not 0 or 1" in captured.err
+
     def test_missing_data_exit_code(self):
         assert main(["estimate", "--data", "/nonexistent.csv", "--eta", "0.5"]) == 2
 
@@ -615,9 +628,21 @@ class TestModefit:
 
     @pytest.mark.parametrize("sigma_p", ["1e-300", "1e-200"])
     def test_sigma_overflowing_chi2_exit_code(self, tmp_path, capfd, sigma_p):
-        # every residual over so small an error squares past the float range
+        # every residual over so small an error would square past the float range;
+        # the resolution check on the first sample refuses it before the fit
         self._assert_domain_error(tmp_path, capfd, self._sample_rows(sigma_p),
-                                  "the samples overflow the fit in float64")
+                                  f"sample 1 (eff_t = 0.05): sigma_p = {sigma_p} is below "
+                                  "the float resolution")
+
+    @pytest.mark.parametrize("sigma_p", ["1e-17", "1e-18", "1e-20", "1e-30"])
+    def test_sigma_below_resolution_of_p_exit_code(self, tmp_path, capfd, sigma_p):
+        # one row pinned below the rounding of its p: whether its chi^2 term is 0,
+        # finite or overflowing would rest on how the residual rounds
+        rows = self._sample_rows()
+        rows[3][2] = sigma_p
+        self._assert_domain_error(tmp_path, capfd, rows,
+                                  f"sample 4 (eff_t = {rows[3][0]}): sigma_p = {sigma_p} "
+                                  "is below the float resolution")
 
     def test_sigma_on_some_samples_only_exit_code(self, tmp_path, capfd):
         rows = self._sample_rows()

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -50,6 +51,76 @@ class TestTypes:
     def test_variance_pair_product_below_one_rejected(self):
         with pytest.raises(UnphysicalStateError):
             QuadratureVariances(0.5, 1.0)
+
+
+# One valid instance of each record, by keyword, with its repr.
+RECORDS = [
+    (CovarianceMatrix, dict(vxx=0.5, vpp=2.0, vxp=0.0), "CovarianceMatrix(vxx=0.5, vpp=2.0, vxp=0.0)"),
+    (SqueezerParams, dict(g=2.0, h=1.2), "SqueezerParams(g=2.0, h=1.2)"),
+    (QuadratureVariances, dict(vmin=0.5, vmax=2.0), "QuadratureVariances(vmin=0.5, vmax=2.0)"),
+]
+RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+class TestRecordContract:
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_positional_and_keyword_construction_agree(self, cls, fields, text):
+        rec = cls(*fields.values())
+        assert rec == cls(**fields)
+        assert [getattr(rec, name) for name in fields] == list(fields.values())
+
+    def test_cross_moment_defaults_to_zero(self):
+        assert CovarianceMatrix(1.0, 1.0).vxp == 0.0
+        assert CovarianceMatrix(vxx=1.0, vpp=1.0) == CovarianceMatrix(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "cls, fields, message",
+        [(CovarianceMatrix, dict(vxx=-0.5, vpp=2.0), "quadrature variances must be positive"),
+         (CovarianceMatrix, dict(vxx=0.5, vpp=1.0), "violates the Heisenberg bound"),
+         (CovarianceMatrix, dict(vxx=1.0, vpp=1.0, vxp=0.5), "violates the Heisenberg bound"),
+         (SqueezerParams, dict(g=0.9, h=1.0), "amplifier gains must satisfy"),
+         (SqueezerParams, dict(g=1.0, h=0.99), "amplifier gains must satisfy"),
+         (QuadratureVariances, dict(vmin=2.0, vmax=0.5), "need 0 < vmin <= vmax"),
+         (QuadratureVariances, dict(vmin=0.5, vmax=1.0), "violates the Heisenberg bound")],
+        ids=["negative-variance", "heisenberg", "cross-moment", "g-below-one",
+             "h-below-one", "unordered-pair", "pair-heisenberg"],
+    )
+    def test_validation_fires_on_keyword_construction(self, cls, fields, message):
+        with pytest.raises(UnphysicalStateError, match=message):
+            cls(**fields)
+        with pytest.raises(UnphysicalStateError, match=message):
+            cls(*fields.values())
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_fields_are_read_only(self, cls, fields, text):
+        rec = cls(**fields)
+        for name in [*fields, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 3.0)
+        assert rec == cls(**fields)
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_equal_by_value_and_hashable(self, cls, fields, text):
+        a, b = cls(**fields), cls(**fields)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != cls(**{**fields, next(iter(fields)): 1.5})
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(**fields)) == text
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_records_are_tuples_of_their_fields(self, cls, fields, text):
+        rec = cls(**fields)
+        assert tuple(rec) == tuple(fields.values()) == rec
+        assert rec[1] == list(fields.values())[1]
+        assert rec._fields == tuple(fields)
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_pickle_round_trip(self, cls, fields, text):
+        rec = pickle.loads(pickle.dumps(cls(**fields)))
+        assert type(rec) is cls and rec == cls(**fields)
 
 
 class TestCovFromSqueezer:

@@ -18,6 +18,10 @@ from test_cli import command_argv
 
 SRC = str(Path(sqclick.__file__).resolve().parents[1])
 
+# What the numpy-free commands start without: dataclasses brings inspect, ast,
+# dis and tokenize; sqclick.simulate only holds the record types of other commands.
+STARTUP_FREE = ["dataclasses", "inspect", "datetime", "sqclick.simulate"]
+
 
 def fresh_python(code, *args):
     """Stdout of ``code`` run with ``args`` in a new interpreter that imports this sqclick."""
@@ -30,12 +34,12 @@ def fresh_python(code, *args):
 @pytest.mark.parametrize(
     "command, unloaded, code",
     [
-        ("import", ["numpy"], 0),
-        ("help", ["numpy"], 0),
-        ("invert", ["numpy"], 0),
+        ("import", ["numpy", *STARTUP_FREE], 0),
+        ("help", ["numpy", *STARTUP_FREE], 0),
+        ("invert", ["numpy", *STARTUP_FREE], 0),
         ("estimate", ["sqclick.ensemble"], 0),
-        ("modefit", ["numpy", "sqclick.estimate", "sqclick.ensemble"], 0),
-        ("modefit-overflow", ["numpy", "sqclick.estimate", "sqclick.ensemble"], 3),
+        ("modefit", ["numpy", "sqclick.estimate", "sqclick.ensemble", *STARTUP_FREE], 0),
+        ("modefit-overflow", ["numpy", "sqclick.estimate", "sqclick.ensemble", *STARTUP_FREE], 3),
         ("simulate", ["sqclick.ensemble", "sqclick.estimate"], 0),
     ],
     ids=["import", "help", "invert", "estimate", "modefit", "modefit-overflow", "simulate"],
