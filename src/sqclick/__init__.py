@@ -20,11 +20,11 @@ _EXPORTS = {
         "EstimationError", "PHYS_TOL", "cov_from_squeezer", "trace_det_from_squeezer",
         "squeezer_from_trace_det", "variances_from_invariants", "purity_from_h",
         "no_click_from_invariants", "click_probability_from_invariants",
-        "gain_bounds_from_trace", "check_physicality", "invert_two_point"),
-    "simulate": ("ExperimentConfig", "ClickRecord", "simulate_run", "expected_click_rate",
-                 "subtract_dark", "perturbed_eta"),
-    "estimate": ("Estimate", "sensitivity", "log_likelihood", "likelihood_grid", "ml_estimate",
-                 "classical_estimate", "homodyne_correct", "estimate_eta"),
+        "gain_bounds_from_trace", "check_physicality", "invert_two_point", "sensitivity",
+        "expected_click_rate", "classical_estimate", "homodyne_correct", "estimate_eta"),
+    "simulate": ("ExperimentConfig", "ClickRecord", "simulate_run", "subtract_dark",
+                 "perturbed_eta"),
+    "estimate": ("Estimate", "log_likelihood", "likelihood_grid", "ml_estimate"),
     "modes": ("mode_count_fit",),
     "ensemble": ("EnsembleResult", "RunResult", "derive_seed", "run_ensemble", "eta_sweep",
                  "state_sweep"),

@@ -153,11 +153,17 @@ def cmd_sweep(args) -> int:
         if key not in mapping:
             raise ConfigError(f"{args.mode} sweep config requires key '{key}'")
     if args.mode == "eta":
+        etas = _parse_float_list(mapping["etas"], "etas")
+        for eta in etas:  # each value is a sweep point's eta_apd, under its rule
+            try:
+                replace(config, eta_apd=eta)
+            except ValueError as exc:
+                raise ConfigError(f"config key 'etas': {exc}") from exc
         results = eta_sweep(
             _parse_float(mapping, "state_trace"),
             _parse_float(mapping, "state_det"),
             config,
-            _parse_float_list(mapping["etas"], "etas"),
+            etas,
             args.runs,
             with_uncertainties=True,  # --exact-knowledge has zeroed them in config
             seed=args.seed,

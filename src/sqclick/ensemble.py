@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._seeding import generators
 from .estimate import _check_etas, _ml_solve, ml_estimate  # noqa: F401  (ml_estimate: bench/ patches it here)
 from .simulate import ExperimentConfig, _draw_clicks, _draw_etas, _expected_dark
 
@@ -91,10 +92,6 @@ def run_ensemble(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    # Deferred: numpy.random takes about 20 ms to import, which the CLI
-    # commands that never draw (estimate, invert, modefit) should not pay.
-    from ._seeding import generators
-
     # run k: seed 2k for its data, 2k + 1 for its eta
     seeds = derive_seed(seed, np.arange(2 * n_runs, dtype=np.uint64))
     rows, t_trues = _draw_clicks(trace_true, det_true, config, generators(seeds[0::2]))

@@ -1,10 +1,5 @@
-"""Inference of the covariance-matrix invariants from click statistics.
+"""Maximum-likelihood inference of the covariance-matrix invariants from click tables.
 
-Two routes are implemented.  The exact two-point inversion
-``invert_two_point`` lives in ``gaussian``, next to the forward map it
-inverts, and is re-exported here; it is algebraically exact but, at low
-detection efficiency, amplifies probability errors in the determinant by
-a factor 4/eta more than in the trace (see ``sensitivity``).
 ``ml_estimate`` uses every setting through a binomial likelihood
 maximized exactly over the physical region 1 <= det <= (trace/2)^2: in
 a = det - trace + 1, b = trace - 2 each 4/P^2 - 4 is linear, Newton's
@@ -16,23 +11,18 @@ blocks, R runs by S settings, and solves every row on its own:
 ``run_ensemble`` hands it all its runs at once and gets, bit for bit,
 what ``ml_estimate``, the same solver at R = 1, gives each run alone.
 
-The module also carries the reference estimators (classical gain ratios,
-loss-corrected homodyne variances) and the efficiency calibration from
-click rates; the multimode diagnostic comes from the numpy-free ``modes``.
+The closed forms live in ``gaussian``: the exact two-point inversion
+(re-exported here as ``invert_two_point``, its old import path), its
+``sensitivity``, the reference estimators and the efficiency calibration.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (  # noqa: F401  (DEGENERATE_T_TOL, invert_two_point: the old import path)
-    DEGENERATE_T_TOL,
+from .gaussian import (  # noqa: F401  (invert_two_point: the old import path)
     EstimationError,
-    PHYS_TOL,
-    QuadratureVariances,
-    SqueezerParams,
-    UnphysicalStateError,
+    _ETA_FLOOR,
     _bs_gram_excess,
     _require_physical,
     _solve2,
@@ -40,8 +30,6 @@ from .gaussian import (  # noqa: F401  (DEGENERATE_T_TOL, invert_two_point: the 
     check_physicality,
     invert_two_point,
 )
-from .modes import _mode_fit_table, mode_count_fit  # noqa: F401  (the old import path)
-from .simulate import _ETA_FLOOR, expected_click_rate
 
 # Log-likelihood range along the determinant direction below which the
 # determinant estimate carries no information.  Even perfectly
@@ -64,22 +52,6 @@ class Estimate:
     g_max_bound: float
     h_max_bound: float
     log_likelihood_at_max: float
-
-
-def sensitivity(p1: float, eta: float) -> tuple[float, float]:
-    """Derivatives of the inverted invariants with respect to one probability.
-
-    d(trace)/dP1 = 4/(eta*P1^3) and d(det)/dP1 = -16/(eta^2*P1^3): the
-    determinant is 4/eta times more sensitive than the trace to a small
-    error on P1, which is what ruins det estimation at percent-level
-    efficiencies.
-    """
-    if not 0.0 < p1 <= 1.0:
-        raise ValueError(f"p1 = {p1} outside (0, 1]")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside (0, 1]")
-    p3 = p1 * p1 * p1
-    return 4.0 / (eta * p3), -16.0 / (eta * eta * p3)
 
 
 def _check_etas(etas):
@@ -321,48 +293,3 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     trace, det, reliable, log_l = (x.item() for x in solved)
     return Estimate(trace=trace, det=det, det_reliable=reliable, **_state_summary(trace, det),
                     log_likelihood_at_max=log_l)
-
-
-def classical_estimate(gain_min: float, gain_max: float) -> SqueezerParams:
-    """Amplifier gains from classical probe (de)amplification measurements.
-
-    g = sqrt(gain_max/gain_min), h = sqrt(gain_max*gain_min).
-    """
-    if gain_min <= 0.0 or gain_max <= 0.0:
-        raise ValueError(f"classical gains must be positive, got ({gain_min}, {gain_max})")
-    return SqueezerParams(
-        g=math.sqrt(gain_max / gain_min), h=math.sqrt(gain_max * gain_min)
-    )
-
-
-def homodyne_correct(v_hom_min: float, v_hom_max: float, eta_hom: float) -> QuadratureVariances:
-    """Undo homodyne detection losses: V = (V_hom - 1 + eta_hom)/eta_hom.
-
-    Vacuum (V_hom = 1) is a fixed point for any efficiency.
-    """
-    if not 0.0 < eta_hom <= 1.0:
-        raise ValueError(f"eta_hom = {eta_hom} outside (0, 1]")
-    vmin = (v_hom_min - 1.0 + eta_hom) / eta_hom
-    vmax = (v_hom_max - 1.0 + eta_hom) / eta_hom
-    if vmin <= 0.0 or vmin * vmax < 1.0 - PHYS_TOL:
-        raise UnphysicalStateError(
-            f"loss correction gave unphysical variances ({vmin}, {vmax})"
-        )
-    return QuadratureVariances(vmin=vmin, vmax=vmax)
-
-
-def estimate_eta(click_rates: list, rep_rate: float) -> float:
-    """Overall detection efficiency from click rates at full transmittance.
-
-    Least-squares fit of the single scale factor eta in
-    rate = eta * rep_rate * (trace - 2)/4 (see expected_click_rate) across
-    calibration points (rate, SqueezerParams).  Result clamped to (0, 1].
-    """
-    if not click_rates:
-        raise EstimationError("no calibration points supplied")
-    preds = np.array([expected_click_rate(p, 1.0, rep_rate) for _, p in click_rates])
-    rates = np.array([r for r, _ in click_rates], dtype=float)
-    if np.max(preds) <= 0.0:
-        raise EstimationError("all calibration points are at vacuum gain; eta undetermined")
-    eta = float(np.dot(rates, preds) / np.dot(preds, preds))
-    return min(max(eta, _ETA_FLOOR), 1.0)

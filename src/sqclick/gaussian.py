@@ -1,5 +1,6 @@
 """Covariance-matrix algebra for zero-mean single-mode Gaussian states,
-the click forward map and its exact two-point inversion.
+the click forward map, its exact two-point inversion, and the closed-form
+reference methods the click estimate is compared with.
 
 Conventions
 -----------
@@ -15,7 +16,11 @@ rejected by their own floating-point rounding.
 
 After a beamsplitter of effective transmittance t, 4/P^2 - 4 is linear in
 (trace, det) (``_bs_gram_excess``); ``invert_two_point`` solves that system
-for two settings.  No numpy or dataclasses: the records are validating namedtuples.
+for two settings, ``sensitivity`` gives its error amplification.  The
+click-rate model ``expected_click_rate`` calibrates the efficiency
+(``estimate_eta``); ``classical_estimate`` and ``homodyne_correct`` are the
+reference methods.  No numpy or dataclasses: the records are validating
+namedtuples.
 """
 
 import math
@@ -25,6 +30,9 @@ PHYS_TOL = 1e-9
 
 # Two transmittances closer than this give a numerically meaningless inversion.
 DEGENERATE_T_TOL = 1e-6
+
+# Smallest efficiency the estimator accepts, and the clip of the drawn ones.
+_ETA_FLOOR = 1e-12
 
 
 class UnphysicalStateError(ValueError):
@@ -198,6 +206,22 @@ def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float,
     return float(2.0 + b), float(a + b + 1.0)
 
 
+def sensitivity(p1: float, eta: float) -> tuple[float, float]:
+    """Derivatives of the inverted invariants with respect to one probability.
+
+    d(trace)/dP1 = 4/(eta*P1^3) and d(det)/dP1 = -16/(eta^2*P1^3): the
+    determinant is 4/eta times more sensitive than the trace to a small
+    error on P1, which is what ruins det estimation at percent-level
+    efficiencies.
+    """
+    if not 0.0 < p1 <= 1.0:
+        raise ValueError(f"p1 = {p1} outside (0, 1]")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta = {eta} outside (0, 1]")
+    p3 = p1 * p1 * p1
+    return 4.0 / (eta * p3), -16.0 / (eta * eta * p3)
+
+
 def _solve2(h11, h12, h22, g1, g2):
     """Solution of the symmetric 2x2 systems [[h11, h12], [h12, h22]] x = g, row by row."""
     d = h11 * h22 - h12 * h12
@@ -225,6 +249,16 @@ def click_probability_from_invariants(trace: float, det: float, eff_t: float) ->
     """
     _check_click_args(trace, det, eff_t)
     return _click_probability(trace, det, eff_t)
+
+
+def expected_click_rate(params: SqueezerParams, eta: float, rep_rate: float) -> float:
+    """Low-efficiency approximation to the click rate at full transmittance.
+
+    rate = eta*rep_rate*(trace - 2)/4, the slope of 1 - P as eta -> 0,
+    valid to first order in eta.  Used to calibrate the overall
+    efficiency from measured rates.
+    """
+    return 0.25 * eta * rep_rate * (trace_det_from_squeezer(params)[0] - 2.0)
 
 
 def _check_click_args(trace, det, eff_t):
@@ -274,3 +308,49 @@ def _state_summary(trace, det) -> dict:
     g_max, h_max = gain_bounds_from_trace(max(trace, 2.0))
     return dict(vmin=qv.vmin, vmax=qv.vmax, purity=1.0 / math.sqrt(det),
                 g_max_bound=g_max, h_max_bound=h_max)
+
+
+def classical_estimate(gain_min: float, gain_max: float) -> SqueezerParams:
+    """Amplifier gains from classical probe (de)amplification measurements.
+
+    g = sqrt(gain_max/gain_min), h = sqrt(gain_max*gain_min).
+    """
+    if gain_min <= 0.0 or gain_max <= 0.0:
+        raise ValueError(f"classical gains must be positive, got ({gain_min}, {gain_max})")
+    return SqueezerParams(
+        g=math.sqrt(gain_max / gain_min), h=math.sqrt(gain_max * gain_min)
+    )
+
+
+def homodyne_correct(v_hom_min: float, v_hom_max: float, eta_hom: float) -> QuadratureVariances:
+    """Undo homodyne detection losses: V = (V_hom - 1 + eta_hom)/eta_hom.
+
+    Vacuum (V_hom = 1) is a fixed point for any efficiency.
+    """
+    if not 0.0 < eta_hom <= 1.0:
+        raise ValueError(f"eta_hom = {eta_hom} outside (0, 1]")
+    vmin = (v_hom_min - 1.0 + eta_hom) / eta_hom
+    vmax = (v_hom_max - 1.0 + eta_hom) / eta_hom
+    if vmin <= 0.0 or vmin * vmax < 1.0 - PHYS_TOL:
+        raise UnphysicalStateError(
+            f"loss correction gave unphysical variances ({vmin}, {vmax})"
+        )
+    return QuadratureVariances(vmin=vmin, vmax=vmax)
+
+
+def estimate_eta(click_rates: list, rep_rate: float) -> float:
+    """Overall detection efficiency from click rates at full transmittance.
+
+    Least-squares fit of the single scale factor eta in
+    rate = eta * rep_rate * (trace - 2)/4 (see expected_click_rate) across
+    calibration points (rate, SqueezerParams).  Result clamped to (0, 1].
+    """
+    if not click_rates:
+        raise EstimationError("no calibration points supplied")
+    preds = [expected_click_rate(p, 1.0, rep_rate) for _, p in click_rates]
+    rates = [float(r) for r, _ in click_rates]
+    pp = sum(p * p for p in preds)
+    if not pp > 0.0:  # also a NaN rep_rate, or predictions whose squares underflow
+        raise EstimationError("all calibration points are at vacuum gain; eta undetermined")
+    eta = sum(r * p for r, p in zip(rates, preds)) / pp
+    return min(max(eta, _ETA_FLOOR), 1.0)

@@ -7,26 +7,19 @@ calibration imperfections are modeled: the true transmittance of each
 setting differs from its nominal value by a normal perturbation drawn
 once per run, and the efficiency value handed to the estimator carries a
 relative error (``perturbed_eta``).  Dark counts are an independent
-Poisson stream.
+Poisson stream.  The click probabilities come from ``gaussian``; this
+module only draws.
 """
 
 import math
 from dataclasses import dataclass
 
-from .gaussian import (
-    SqueezerParams,
-    _click_probability,
-    _require_physical,
-    trace_det_from_squeezer,
-)
+from .gaussian import _ETA_FLOOR, _click_probability, _require_physical
 
 # numpy draws binomials with an int64 trial count, and Poisson counts with a
 # mean of at most its int64 maximum less 10 standard deviations.
 _MAX_TRIALS = 2**63 - 1
 _MAX_DARK = _MAX_TRIALS - 10.0 * math.sqrt(_MAX_TRIALS)
-
-# Smallest efficiency the estimator accepts, and the clip of the drawn ones.
-_ETA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -153,16 +146,6 @@ def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) 
     rows, _ = _draw_clicks(trace, det, config, [default_rng(seed)])
     n = config.n_trials
     return [ClickRecord(t, n, c) for t, c in zip(config.transmittances, rows[0])]
-
-
-def expected_click_rate(params: SqueezerParams, eta: float, rep_rate: float) -> float:
-    """Low-efficiency approximation to the click rate at full transmittance.
-
-    rate = eta*rep_rate*(trace - 2)/4, the slope of 1 - P as eta -> 0,
-    valid to first order in eta.  Used to calibrate the overall
-    efficiency from measured rates.
-    """
-    return 0.25 * eta * rep_rate * (trace_det_from_squeezer(params)[0] - 2.0)
 
 
 def _expected_dark(dark_rate, duration) -> int:

@@ -507,14 +507,17 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "old,new",
-        [("etas = 0.3, 0.6", "etas = 0.1, abc"), ("state_trace = 2.321", "state_trace = 2.3x")],
+        [("etas = 0.3, 0.6", "etas = 0.1, abc"), ("state_trace = 2.321", "state_trace = 2.3x"),
+         ("etas = 0.3, 0.6", "etas = 0.3, 1.5"), ("etas = 0.3, 0.6", "etas = 0.3, nan")],
     )
-    def test_malformed_sweep_values_exit_code(self, tmp_path, old, new):
+    def test_malformed_sweep_values_exit_code(self, tmp_path, capsys, old, new):
+        # an etas value is refused by eta_apd's rule, as a config error naming etas
         path = tmp_path / "bad.cfg"
         path.write_text(SWEEP_CONFIG.replace(old, new))
         assert main(
             ["sweep", "--config", str(path), "--mode", "eta", "--seed", "1", "--runs", "2"]
         ) == 2
+        assert new.split(" =")[0] in capsys.readouterr().err
 
     def test_dark_count_total_above_pulses_exit_code(self, tmp_path, capsys):
         # more expected dark counts than pulses would floor every setting at

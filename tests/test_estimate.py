@@ -32,7 +32,8 @@ from sqclick import (
     simulate_run,
 )
 from sqclick import estimate
-from sqclick.estimate import FLATNESS_NATS, _ml_solve, _mode_fit_table, _setting_arrays
+from sqclick.estimate import FLATNESS_NATS, _ml_solve, _setting_arrays
+from sqclick.modes import _mode_fit_table
 from sqclick.tables import estimate_lines
 
 TRACE0, DET0 = 2.321, 1.156
@@ -634,6 +635,33 @@ class TestEstimateEta:
             estimate_eta([(0.0, SqueezerParams(1.0, 1.0))], 780400.0)
         with pytest.raises(EstimationError):
             estimate_eta([], 780400.0)
+
+    @pytest.mark.parametrize("rep_rate", [math.nan, 1e-170])
+    def test_undetermined_scale_rejected(self, rep_rate):
+        # a NaN prediction, or one whose square underflows, fixes no eta
+        with pytest.raises(EstimationError):
+            estimate_eta([(1.0, SqueezerParams(2.0, 1.0))], rep_rate)
+
+    @settings(deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.floats(1.0, 5.0), st.floats(1.0, 3.0), st.floats(0.0, 0.25)),
+                        min_size=1, max_size=12),
+        rep_rate=st.floats(1e3, 1e8),
+    )
+    def test_python_sums_match_the_dot_products(self, points, rep_rate):
+        # Reference: np.dot(rates, preds)/np.dot(preds, preds).  A dot product
+        # of n non-negative terms, in any summation order, lies within
+        # n*u/(1 - n*u) of the exact one (u = 2**-53), so each ratio lies
+        # within about (2n + 1)*u of the exact ratio, and the two within
+        # (4n + 3)*u of each other; clamping cannot widen that gap.
+        pts = [(frac * rep_rate, SqueezerParams(g, h)) for g, h, frac in points]
+        preds = np.array([expected_click_rate(p, 1.0, rep_rate) for _, p in pts])
+        if not preds.any():
+            return  # vacuum gains: test_vacuum_points_rejected
+        ratio = float(np.dot([r for r, _ in pts], preds) / np.dot(preds, preds))
+        n = len(pts)
+        assert estimate_eta(pts, rep_rate) == pytest.approx(
+            min(max(ratio, 1e-12), 1.0), rel=0, abs=(4 * n + 3) * 2.0**-53 * ratio)
 
 
 class TestModeCountFit:

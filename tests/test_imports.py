@@ -100,10 +100,23 @@ def test_unknown_name_raises_attribute_error():
 def test_moved_names_keep_their_old_import_path():
     from sqclick import estimate
 
-    for name in ("invert_two_point", "EstimationError", "DEGENERATE_T_TOL", "_solve2"):
+    for name in ("invert_two_point", "EstimationError", "_solve2"):
         assert getattr(estimate, name) is getattr(gaussian, name)
-    for name in ("mode_count_fit", "_mode_fit_table"):
-        assert getattr(estimate, name) is getattr(modes, name)
     assert sqclick.mode_count_fit is modes.mode_count_fit
     assert sqclick.invert_two_point is gaussian.invert_two_point
     assert sqclick.EstimationError is estimate.EstimationError
+
+
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [("gaussian", ["numpy", "dataclasses"]), ("estimate", []), ("simulate", [])],
+    ids=["gaussian", "estimate", "simulate"],
+)
+def test_layers_load_only_gaussian_from_the_package(module, unloaded):
+    # gaussian, numpy- and dataclass-free, holds every closed form; inference
+    # (estimate) and the draws (simulate) each sit on it alone
+    code = (f"import sys, sqclick.{module}\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sqclick.')),\n"
+            f"      [m for m in {unloaded!r} if m in sys.modules])\n")
+    loaded = sorted({"sqclick.gaussian", f"sqclick.{module}"})
+    assert fresh_python(code).strip() == f"{loaded} []"
