@@ -2,8 +2,8 @@
 
 The reported sigmas are RMS deviations from the TRUE invariants (the
 maximum-likelihood estimator is biased, so deviations about the mean
-would understate the error).  Every run keeps its per-run artifacts so
-any statistic can be recomputed afterwards.
+would understate the error).  Both records are NamedTuples, and every run
+keeps its artifacts so any statistic can be recomputed afterwards.
 
 Seeding: run k of an ensemble uses the pair of derived seeds
 ``derive_seed(master, 2k)`` (data acquisition) and
@@ -21,7 +21,7 @@ an assumed efficiency below 1e-12.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +58,7 @@ class RunResult(NamedTuple):
     log_likelihood_at_max: float
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
+class EnsembleResult(NamedTuple):
     """RMS deviations and means over an ensemble of simulated experiments."""
 
     eta: float

@@ -14,9 +14,10 @@ what ``ml_estimate``, the same solver at R = 1, gives each run alone.
 The closed forms live in ``gaussian``: the exact two-point inversion
 (re-exported here as ``invert_two_point``, its old import path), its
 ``sensitivity``, the reference estimators and the efficiency calibration.
+``Estimate`` is a NamedTuple, so this module loads no ``dataclasses``.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,7 @@ from .gaussian import (  # noqa: F401  (invert_two_point: the old import path)
 FLATNESS_NATS = 3.0
 
 
-@dataclass(frozen=True, kw_only=True)
-class Estimate:
+class Estimate(NamedTuple):
     """Recovered invariants plus the physical quantities they determine, in record order."""
 
     trace: float

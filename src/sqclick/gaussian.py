@@ -10,9 +10,9 @@ expressed in these shot-noise units.  Mixing this convention with the
 hbar = 1 one (vacuum variance 1/2) is the classic bug in this domain, so
 every function in the package assumes vacuum = 1.
 
-Physicality checks (Heisenberg bound det >= 1, discriminant sign) use the
-absolute tolerance ``PHYS_TOL`` so that round-trip identities are not
-rejected by their own floating-point rounding.
+Physicality checks (Heisenberg bound det >= 1, discriminant sign) fail on
+NaN and use the absolute tolerance ``PHYS_TOL`` so that round-trip
+identities are not rejected by their own floating-point rounding.
 
 After a beamsplitter of effective transmittance t, 4/P^2 - 4 is linear in
 (trace, det) (``_bs_gram_excess``); ``invert_two_point`` solves that system
@@ -58,7 +58,7 @@ class CovarianceMatrix(namedtuple("CovarianceMatrix", "vxx vpp vxp")):
             raise UnphysicalStateError(
                 f"quadrature variances must be positive, got ({self.vxx}, {self.vpp})"
             )
-        if self.det < 1.0 - PHYS_TOL:
+        if not self.det >= 1.0 - PHYS_TOL:
             raise UnphysicalStateError(
                 f"det(cov) = {self.det} violates the Heisenberg bound det >= 1"
             )
@@ -85,7 +85,7 @@ class SqueezerParams(namedtuple("SqueezerParams", "g h")):
 
     def __new__(cls, g, h):
         self = tuple.__new__(cls, (g, h))
-        if self.g < 1.0 or self.h < 1.0:
+        if not (self.g >= 1.0 and self.h >= 1.0):
             raise UnphysicalStateError(
                 f"amplifier gains must satisfy g >= 1 and h >= 1, got ({self.g}, {self.h})"
             )
@@ -148,10 +148,10 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
     On the thermal edge det = (trace/2)^2, det/vmax can round above vmax;
     vmin is capped at vmax, which is exact there since vmin = vmax.
     """
-    if det < 1.0 - PHYS_TOL:
+    if not det >= 1.0 - PHYS_TOL:
         raise UnphysicalStateError(f"det = {det} violates det >= 1")
     disc = trace * trace - 4.0 * det
-    if disc < -PHYS_TOL:
+    if not disc >= -PHYS_TOL:
         raise UnphysicalStateError(
             f"trace^2 - 4*det = {disc} < 0: no real quadrature variances"
         )
@@ -165,7 +165,7 @@ def purity_from_h(h: float) -> float:
     Equals the purity 1/sqrt(det) of cov_from_squeezer(g, h) for any g,
     since squeezing is a unitary and cannot change the purity.
     """
-    if h < 1.0:
+    if not h >= 1.0:
         raise UnphysicalStateError(f"h = {h} must be >= 1")
     return 1.0 / (2.0 * h - 1.0)
 
@@ -283,7 +283,7 @@ def gain_bounds_from_trace(trace: float) -> tuple[float, float]:
     Since trace - s = 4/(trace + s), the g bound simplifies to
     (trace + s)/2, which is what is evaluated here.
     """
-    if trace < 2.0 - PHYS_TOL:
+    if not trace >= 2.0 - PHYS_TOL:
         raise ValueError(f"trace = {trace} < 2 is unphysical")
     s = math.sqrt(max(trace * trace - 4.0, 0.0))
     g_max = 0.5 * (trace + s)
@@ -315,7 +315,7 @@ def classical_estimate(gain_min: float, gain_max: float) -> SqueezerParams:
 
     g = sqrt(gain_max/gain_min), h = sqrt(gain_max*gain_min).
     """
-    if gain_min <= 0.0 or gain_max <= 0.0:
+    if not (gain_min > 0.0 and gain_max > 0.0):
         raise ValueError(f"classical gains must be positive, got ({gain_min}, {gain_max})")
     return SqueezerParams(
         g=math.sqrt(gain_max / gain_min), h=math.sqrt(gain_max * gain_min)
@@ -331,7 +331,7 @@ def homodyne_correct(v_hom_min: float, v_hom_max: float, eta_hom: float) -> Quad
         raise ValueError(f"eta_hom = {eta_hom} outside (0, 1]")
     vmin = (v_hom_min - 1.0 + eta_hom) / eta_hom
     vmax = (v_hom_max - 1.0 + eta_hom) / eta_hom
-    if vmin <= 0.0 or vmin * vmax < 1.0 - PHYS_TOL:
+    if not (vmin > 0.0 and vmin * vmax >= 1.0 - PHYS_TOL):
         raise UnphysicalStateError(
             f"loss correction gave unphysical variances ({vmin}, {vmax})"
         )

@@ -8,10 +8,12 @@ setting differs from its nominal value by a normal perturbation drawn
 once per run, and the efficiency value handed to the estimator carries a
 relative error (``perturbed_eta``).  Dark counts are an independent
 Poisson stream.  The click probabilities come from ``gaussian``; this
-module only draws.
+module only draws.  ``ClickRecord`` is a validating namedtuple; the config
+stays a frozen dataclass, as ``dataclasses.replace`` re-runs its checks.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .gaussian import _ETA_FLOOR, _click_probability, _require_physical
@@ -79,26 +81,24 @@ class ExperimentConfig:
         return int(round(self.rep_rate * self.duration))
 
 
-@dataclass(frozen=True)
-class ClickRecord:
+class ClickRecord(namedtuple("ClickRecord", "t_nominal trials clicks dark_subtracted")):
     """Click total for one beamsplitter setting.
 
     t_nominal is the transmittance the experimenter believes; the data may
     have been generated at a slightly different true value.
     """
 
-    t_nominal: float
-    trials: int
-    clicks: int
-    dark_subtracted: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, t_nominal, trials, clicks, dark_subtracted=False):
+        self = tuple.__new__(cls, (t_nominal, trials, clicks, dark_subtracted))
         if not 0.0 <= self.t_nominal <= 1.0:
             raise ValueError(f"t_nominal = {self.t_nominal} outside [0, 1]")
         if self.trials > _MAX_TRIALS:
             raise ValueError(f"trials exceeds {_MAX_TRIALS}, the largest count numpy can draw")
         if not 0 <= self.clicks <= self.trials:
             raise ValueError(f"clicks = {self.clicks} outside [0, trials = {self.trials}]")
+        return self
 
 
 def _draw_clicks(trace, det, config, rngs):
@@ -163,12 +163,8 @@ def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> Cli
     if dark_rate * duration > record.trials:
         raise ValueError(f"dark_rate * duration = {dark_rate * duration} expected dark counts "
                          f"exceed the record's {record.trials} trials")
-    return ClickRecord(
-        t_nominal=record.t_nominal,
-        trials=record.trials,
-        clicks=max(0, record.clicks - _expected_dark(dark_rate, duration)),
-        dark_subtracted=True,
-    )
+    clicks = max(0, record.clicks - _expected_dark(dark_rate, duration))
+    return ClickRecord(record.t_nominal, record.trials, clicks, dark_subtracted=True)
 
 
 def perturbed_eta(config: ExperimentConfig, seed: int) -> float:

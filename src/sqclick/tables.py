@@ -3,9 +3,9 @@
 Numbers are written at 12 significant digits, integers exactly.  Tabular
 files are comma-separated with a single header row preceded by a commented
 manifest block; each writer names its columns once, and that list gives the
-header and picks each row's values.  Records are 'key = value' lines from
-one formatter (bools as true/false).  Readers skip every line starting with
-'#', so any file written here round-trips through the corresponding reader.
+header and picks each row's values from the records' ``_asdict()``.  Records
+are 'key = value' lines from one formatter (bools as true/false).  Readers
+skip '#' lines, so any file written here round-trips through its reader.
 The ``simulate`` records are imported only where they are built.
 """
 
@@ -138,7 +138,7 @@ def parse_states(text: str) -> list:
 
 def write_click_records(fh, records, manifest: list):
     _write_table(fh, manifest, ("t_nominal", "trials", "clicks", "dark_subtracted"),
-                 map(vars, records))
+                 (r._asdict() for r in records))
 
 
 def read_click_records(path) -> list:
@@ -165,13 +165,13 @@ def read_click_records(path) -> list:
 
 def estimate_lines(est) -> list:
     """Serialize an Estimate as 'key = value' lines, one per field in order."""
-    return _key_value_lines(**vars(est))
+    return _key_value_lines(**est._asdict())
 
 
 def write_sweep(fh, results, manifest: list):
     _write_table(fh, manifest, ("trace_true", "det_true", "eta", "n_runs", "sigma_trace",
                                 "sigma_det", "mean_trace_est", "mean_det_est",
-                                "fraction_det_reliable"), map(vars, results))
+                                "fraction_det_reliable"), (r._asdict() for r in results))
 
 
 def write_run_details(fh, results, manifest: list):
@@ -179,7 +179,7 @@ def write_run_details(fh, results, manifest: list):
     _write_table(fh, manifest, ("trace_true", "det_true", "eta", "run_index", "trace_est",
                                 "det_est", "det_reliable", "eta_assumed",
                                 "log_likelihood_at_max"),
-                 (dict(vars(res), run_index=run.index, **run._asdict())
+                 (dict(res._asdict(), run_index=run.index, **run._asdict())
                   for res in results for run in res.runs))
 
 

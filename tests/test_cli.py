@@ -239,6 +239,27 @@ class TestSimulate:
         ) == 3
 
     @pytest.mark.parametrize(
+        "state",
+        [["--trace", "2.5", "--det", "1", "--g", "2", "--h", "1"], [], ["--trace", "2.5"]],
+        ids=["both", "neither", "trace-without-det"],
+    )
+    def test_state_given_both_ways_or_neither_exit_code(self, base_config, capsys, state):
+        assert main(["simulate", "--config", base_config, *state]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "specify the state as either --trace/--det or --g/--h" in captured.err
+
+    @pytest.mark.parametrize("key", ["rep_rate_hz", "duration_s", "transmittances", "eta_apd"])
+    def test_config_missing_required_key_exit_code(self, tmp_path, capsys, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(l + "\n" for l in BASE_CONFIG.splitlines()
+                                if not l.startswith(key)))
+        assert main(
+            ["simulate", "--config", str(path), "--trace", "2.5", "--det", "1", "--seed", "1"]
+        ) == 2
+        assert f"missing required config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "line",
         ["rep_rate_hz = inf", "duration_s = nan", "dark_rate_hz = nan", "t_uncertainty = nan",
          "eta_rel_uncertainty = nan"],
@@ -592,6 +613,29 @@ class TestModefit:
         path = tmp_path / "few.csv"
         path.write_text("0.1,0.99\n0.2,0.97\n0.3,0.95\n")
         assert main(["modefit", "--data", str(path), "--max-modes", "3"]) == 4
+
+    def test_no_mode_count_fits_exit_code(self, tmp_path, capsys):
+        # two modes measured to 1e-6: one mode leaves a residual far above its errors
+        path = Path(self._write_samples(tmp_path, two_mode=True))
+        path.write_text(path.read_text().replace("\n", ",1e-6\n"))
+        assert main(["modefit", "--data", str(path), "--max-modes", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no mode count up to 1 fits the samples" in captured.err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0.1,0.99\n0.2,abc\n", ":2: could not convert string to float: 'abc'"),
+         ("eff_t,p\n# no rows\n", ": no samples found")],
+        ids=["non-numeric", "no-samples"],
+    )
+    def test_malformed_samples_file_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        assert main(["modefit", "--data", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"sqclick: error: {path}{message}" in captured.err
 
     @staticmethod
     def _sample_rows(sigma_p="1e-6"):

@@ -303,3 +303,7 @@ class TestStateSweep:
         states = [(2.1, 1.05), (2.6, 1.3)]
         res = state_sweep(states, quick_config(), 2, seed=10)
         assert [(r.trace_true, r.det_true) for r in res] == states
+
+    def test_empty_states_rejected(self):
+        with pytest.raises(ValueError, match="states must be non-empty"):
+            state_sweep([], quick_config(), 2, seed=10)

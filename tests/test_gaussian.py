@@ -7,14 +7,19 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from sqclick import (
+    ClickRecord,
     CovarianceMatrix,
+    EnsembleResult,
+    Estimate,
     QuadratureVariances,
     SqueezerParams,
     UnphysicalStateError,
     check_physicality,
+    classical_estimate,
     click_probability_from_invariants,
     cov_from_squeezer,
     gain_bounds_from_trace,
+    homodyne_correct,
     no_click_from_invariants,
     purity_from_h,
     squeezer_from_trace_det,
@@ -53,18 +58,33 @@ class TestTypes:
             QuadratureVariances(0.5, 1.0)
 
 
-# One valid instance of each record, by keyword, with its repr.
+# One valid instance of each record, by keyword, with one field changed to
+# another valid value, and its repr.
 RECORDS = [
-    (CovarianceMatrix, dict(vxx=0.5, vpp=2.0, vxp=0.0), "CovarianceMatrix(vxx=0.5, vpp=2.0, vxp=0.0)"),
-    (SqueezerParams, dict(g=2.0, h=1.2), "SqueezerParams(g=2.0, h=1.2)"),
-    (QuadratureVariances, dict(vmin=0.5, vmax=2.0), "QuadratureVariances(vmin=0.5, vmax=2.0)"),
+    (CovarianceMatrix, dict(vxx=0.5, vpp=2.0, vxp=0.0), dict(vxx=1.5),
+     "CovarianceMatrix(vxx=0.5, vpp=2.0, vxp=0.0)"),
+    (SqueezerParams, dict(g=2.0, h=1.2), dict(g=1.5), "SqueezerParams(g=2.0, h=1.2)"),
+    (QuadratureVariances, dict(vmin=0.5, vmax=2.0), dict(vmin=1.5),
+     "QuadratureVariances(vmin=0.5, vmax=2.0)"),
+    (ClickRecord, dict(t_nominal=0.5, trials=100, clicks=3, dark_subtracted=False),
+     dict(clicks=4), "ClickRecord(t_nominal=0.5, trials=100, clicks=3, dark_subtracted=False)"),
+    (Estimate, dict(trace=2.5, det=1.0, det_reliable=True, vmin=0.5, vmax=2.0, purity=1.0,
+                    g_max_bound=2.0, h_max_bound=1.125, log_likelihood_at_max=-3.0),
+     dict(det=1.2), "Estimate(trace=2.5, det=1.0, det_reliable=True, vmin=0.5, vmax=2.0, "
+     "purity=1.0, g_max_bound=2.0, h_max_bound=1.125, log_likelihood_at_max=-3.0)"),
+    (EnsembleResult, dict(eta=0.5, sigma_det=0.1, sigma_trace=0.01, mean_det_est=1.2,
+                          mean_trace_est=2.3, n_runs=2, fraction_det_reliable=0.5,
+                          trace_true=2.321, det_true=1.156, runs=()),
+     dict(n_runs=3), "EnsembleResult(eta=0.5, sigma_det=0.1, sigma_trace=0.01, "
+     "mean_det_est=1.2, mean_trace_est=2.3, n_runs=2, fraction_det_reliable=0.5, "
+     "trace_true=2.321, det_true=1.156, runs=())"),
 ]
-RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+RECORD_IDS = [cls.__name__ for cls, *_ in RECORDS]
 
 
 class TestRecordContract:
-    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
-    def test_positional_and_keyword_construction_agree(self, cls, fields, text):
+    @pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=RECORD_IDS)
+    def test_positional_and_keyword_construction_agree(self, cls, fields, changed, text):
         rec = cls(*fields.values())
         assert rec == cls(**fields)
         assert [getattr(rec, name) for name in fields] == list(fields.values())
@@ -74,53 +94,90 @@ class TestRecordContract:
         assert CovarianceMatrix(vxx=1.0, vpp=1.0) == CovarianceMatrix(1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize(
-        "cls, fields, message",
-        [(CovarianceMatrix, dict(vxx=-0.5, vpp=2.0), "quadrature variances must be positive"),
-         (CovarianceMatrix, dict(vxx=0.5, vpp=1.0), "violates the Heisenberg bound"),
-         (CovarianceMatrix, dict(vxx=1.0, vpp=1.0, vxp=0.5), "violates the Heisenberg bound"),
-         (SqueezerParams, dict(g=0.9, h=1.0), "amplifier gains must satisfy"),
-         (SqueezerParams, dict(g=1.0, h=0.99), "amplifier gains must satisfy"),
-         (QuadratureVariances, dict(vmin=2.0, vmax=0.5), "need 0 < vmin <= vmax"),
-         (QuadratureVariances, dict(vmin=0.5, vmax=1.0), "violates the Heisenberg bound")],
+        "cls, fields, error, message",
+        [(CovarianceMatrix, dict(vxx=-0.5, vpp=2.0), UnphysicalStateError,
+          "quadrature variances must be positive"),
+         (CovarianceMatrix, dict(vxx=0.5, vpp=1.0), UnphysicalStateError,
+          "violates the Heisenberg bound"),
+         (CovarianceMatrix, dict(vxx=1.0, vpp=1.0, vxp=0.5), UnphysicalStateError,
+          "violates the Heisenberg bound"),
+         (SqueezerParams, dict(g=0.9, h=1.0), UnphysicalStateError,
+          "amplifier gains must satisfy"),
+         (SqueezerParams, dict(g=1.0, h=0.99), UnphysicalStateError,
+          "amplifier gains must satisfy"),
+         (QuadratureVariances, dict(vmin=2.0, vmax=0.5), UnphysicalStateError,
+          "need 0 < vmin <= vmax"),
+         (QuadratureVariances, dict(vmin=0.5, vmax=1.0), UnphysicalStateError,
+          "violates the Heisenberg bound"),
+         (CovarianceMatrix, dict(vxx=1.0, vpp=1.0, vxp=math.nan), UnphysicalStateError,
+          "violates the Heisenberg bound"),
+         (SqueezerParams, dict(g=math.nan, h=math.nan), UnphysicalStateError,
+          "amplifier gains must satisfy"),
+         (SqueezerParams, dict(g=2.0, h=math.nan), UnphysicalStateError,
+          "amplifier gains must satisfy"),
+         (ClickRecord, dict(t_nominal=1.5, trials=10, clicks=1), ValueError,
+          r"t_nominal = 1.5 outside \[0, 1\]"),
+         (ClickRecord, dict(t_nominal=0.5, trials=2**63, clicks=1), ValueError,
+          "trials exceeds 9223372036854775807"),
+         (ClickRecord, dict(t_nominal=0.5, trials=10, clicks=11), ValueError,
+          r"clicks = 11 outside \[0, trials = 10\]")],
         ids=["negative-variance", "heisenberg", "cross-moment", "g-below-one",
-             "h-below-one", "unordered-pair", "pair-heisenberg"],
+             "h-below-one", "unordered-pair", "pair-heisenberg", "nan-cross-moment",
+             "nan-gains", "nan-h", "click-t-outside-unit-interval", "click-trials-beyond-int64",
+             "click-clicks-above-trials"],
     )
-    def test_validation_fires_on_keyword_construction(self, cls, fields, message):
-        with pytest.raises(UnphysicalStateError, match=message):
+    def test_validation_fires_on_keyword_construction(self, cls, fields, error, message):
+        with pytest.raises(error, match=message):
             cls(**fields)
-        with pytest.raises(UnphysicalStateError, match=message):
+        with pytest.raises(error, match=message):
             cls(*fields.values())
 
-    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
-    def test_fields_are_read_only(self, cls, fields, text):
+    @pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=RECORD_IDS)
+    def test_fields_are_read_only(self, cls, fields, changed, text):
         rec = cls(**fields)
         for name in [*fields, "extra"]:
             with pytest.raises(AttributeError):
                 setattr(rec, name, 3.0)
         assert rec == cls(**fields)
 
-    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
-    def test_equal_by_value_and_hashable(self, cls, fields, text):
+    @pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=RECORD_IDS)
+    def test_equal_by_value_and_hashable(self, cls, fields, changed, text):
         a, b = cls(**fields), cls(**fields)
         assert a is not b and a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
-        assert a != cls(**{**fields, next(iter(fields)): 1.5})
+        assert a != cls(**{**fields, **changed})
 
-    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
-    def test_repr(self, cls, fields, text):
+    @pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=RECORD_IDS)
+    def test_repr(self, cls, fields, changed, text):
         assert repr(cls(**fields)) == text
 
-    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
-    def test_records_are_tuples_of_their_fields(self, cls, fields, text):
+    @pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=RECORD_IDS)
+    def test_records_are_tuples_of_their_fields(self, cls, fields, changed, text):
         rec = cls(**fields)
         assert tuple(rec) == tuple(fields.values()) == rec
         assert rec[1] == list(fields.values())[1]
         assert rec._fields == tuple(fields)
 
-    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
-    def test_pickle_round_trip(self, cls, fields, text):
+    @pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=RECORD_IDS)
+    def test_pickle_round_trip(self, cls, fields, changed, text):
         rec = pickle.loads(pickle.dumps(cls(**fields)))
         assert type(rec) is cls and rec == cls(**fields)
+
+
+def test_nan_fails_the_physical_checks():
+    # each check itself refuses NaN, with its own message
+    with pytest.raises(UnphysicalStateError, match="h = nan must be >= 1"):
+        purity_from_h(math.nan)
+    with pytest.raises(ValueError, match="trace = nan < 2 is unphysical"):
+        gain_bounds_from_trace(math.nan)
+    with pytest.raises(ValueError, match="classical gains must be positive"):
+        classical_estimate(math.nan, 2.0)
+    with pytest.raises(UnphysicalStateError, match="det = nan violates det >= 1"):
+        variances_from_invariants(2.5, math.nan)
+    with pytest.raises(UnphysicalStateError, match="no real quadrature variances"):
+        variances_from_invariants(math.nan, 1.0)
+    with pytest.raises(UnphysicalStateError, match="loss correction gave unphysical"):
+        homodyne_correct(math.nan, 2.0, 0.5)
 
 
 class TestCovFromSqueezer:
@@ -202,6 +259,10 @@ class TestPurity:
     @pytest.mark.parametrize("h,expected", [(1.0, 1.0), (1.5, 0.5), (2.0, 1.0 / 3.0)])
     def test_from_h(self, h, expected):
         assert purity_from_h(h) == pytest.approx(expected, abs=1e-15)
+
+    def test_from_h_below_one_rejected(self):
+        with pytest.raises(UnphysicalStateError, match="h = 0.5 must be >= 1"):
+            purity_from_h(0.5)
 
 
 class TestBeamsplitter:

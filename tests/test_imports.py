@@ -109,12 +109,12 @@ def test_moved_names_keep_their_old_import_path():
 
 @pytest.mark.parametrize(
     "module, unloaded",
-    [("gaussian", ["numpy", "dataclasses"]), ("estimate", []), ("simulate", [])],
+    [("gaussian", ["numpy", "dataclasses"]), ("estimate", ["dataclasses"]), ("simulate", [])],
     ids=["gaussian", "estimate", "simulate"],
 )
 def test_layers_load_only_gaussian_from_the_package(module, unloaded):
     # gaussian, numpy- and dataclass-free, holds every closed form; inference
-    # (estimate) and the draws (simulate) each sit on it alone
+    # (estimate, dataclass-free too) and the draws (simulate) each sit on it alone
     code = (f"import sys, sqclick.{module}\n"
             "print(sorted(m for m in sys.modules if m.startswith('sqclick.')),\n"
             f"      [m for m in {unloaded!r} if m in sys.modules])\n")

@@ -76,6 +76,12 @@ def test_fit_matches_lstsq(kind, seed):
     assert compared == {"single-mode": 0, "two-mode": 1, "noisy": 3}[kind]
 
 
+def test_zero_max_modes_rejected():
+    with pytest.raises(ValueError, match="max_modes must be >= 1") as info:
+        mode_count_fit(random_samples("single-mode", 0), 0)
+    assert not isinstance(info.value, EstimationError)  # a domain error, CLI exit 3
+
+
 def test_sigma_on_some_samples_only_rejected():
     samples = random_samples("noisy", 0)
     samples[1:] = [s[:2] for s in samples[1:]]
