@@ -343,7 +343,8 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
 
     Least-squares fit of the single scale factor eta in
     rate = eta * rep_rate * (trace - 2)/4 (see expected_click_rate) across
-    calibration points (rate, SqueezerParams).  Result clamped to (0, 1].
+    calibration points (rate, SqueezerParams).  Result clamped to (0, 1]; a
+    scale that is not finite (a NaN or inf input, or overflow) raises EstimationError.
     """
     if not click_rates:
         raise EstimationError("no calibration points supplied")
@@ -353,4 +354,6 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
     if not pp > 0.0:  # also a NaN rep_rate, or predictions whose squares underflow
         raise EstimationError("all calibration points are at vacuum gain; eta undetermined")
     eta = sum(r * p for r, p in zip(rates, preds)) / pp
+    if not math.isfinite(eta):
+        raise EstimationError(f"efficiency scale {eta}: a non-finite input or an overflow")
     return min(max(eta, _ETA_FLOOR), 1.0)

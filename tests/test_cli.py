@@ -770,7 +770,7 @@ def test_cli_import_leaves_random_modules_unloaded():
     # numpy.random costs about 20 ms to import, which estimate, invert and
     # modefit never use; simulate and sweep import it when they draw
     code = ("import sys, sqclick.cli; "
-            "print([m for m in ('numpy.random', 'sqclick._seeding') if m in sys.modules])")
+            "print([m for m in ('numpy.random', 'sqclick.ensemble') if m in sys.modules])")
     src = str(Path(sqclick.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,

@@ -15,8 +15,8 @@ from sqclick import (
     state_sweep,
     subtract_dark,
 )
-from sqclick import estimate
-from sqclick._seeding import SeedState, generators, pcg64_seed_states
+from sqclick import ensemble, estimate
+from sqclick.ensemble import SeedState, generators, pcg64_seed_states
 from sqclick.simulate import _draw_clicks
 
 TRACE0, DET0 = 2.321, 1.156
@@ -262,6 +262,22 @@ def test_edge_passes_per_solve_on_criterion_5_data(monkeypatch):
     eta_sweep(TRACE0, DET0, cfg, etas, 200, with_uncertainties=False, seed=314159)
     assert len(passes) == len(etas)
     assert max(passes) <= 4, passes
+
+
+def test_sweeps_call_run_ensemble_once_per_point_through_the_module(monkeypatch):
+    # the traced benchmark pass times each ensemble by swapping this attribute
+    real, calls = ensemble.run_ensemble, []
+
+    def counted(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(ensemble, "run_ensemble", counted)
+    res = eta_sweep(TRACE0, DET0, quick_config(), [0.2, 0.4, 0.6], 2, False, seed=3)
+    assert len(calls) == 3 and all(r is c for r, c in zip(res, calls, strict=True))
+    calls.clear()
+    res = state_sweep([(2.1, 1.05), (2.6, 1.3)], quick_config(), 2, seed=5)
+    assert len(calls) == 2 and all(r is c for r, c in zip(res, calls, strict=True))
 
 
 class TestEtaSweep:

@@ -642,6 +642,13 @@ class TestEstimateEta:
         with pytest.raises(EstimationError):
             estimate_eta([(1.0, SqueezerParams(2.0, 1.0))], rep_rate)
 
+    @pytest.mark.parametrize("rate, rep_rate", [(math.nan, 1e6), (1e3, math.inf), (math.inf, 1e6)],
+                             ids=["nan-rate", "inf-rep-rate", "inf-rate"])
+    def test_non_finite_scale_rejected(self, rate, rep_rate):
+        # clamping would keep a NaN and turn an infinite scale into 1.0
+        with pytest.raises(EstimationError):
+            estimate_eta([(rate, SqueezerParams(2.0, 1.0))], rep_rate)
+
     @settings(deadline=None)
     @given(
         points=st.lists(st.tuples(st.floats(1.0, 5.0), st.floats(1.0, 3.0), st.floats(0.0, 0.25)),

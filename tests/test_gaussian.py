@@ -392,6 +392,23 @@ class TestNoClickFromInvariants:
         with pytest.raises(UnphysicalStateError):
             no_click_from_invariants(2.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("modes", [2, 3])
+    @pytest.mark.parametrize("state", [(TRACE0, DET0), (TRACE0, 1.0)], ids=["paper", "pure"])
+    def test_identical_modes_look_like_one_effective_mode(self, state, modes):
+        # M identical modes give P^M, which to order e^2 is the no-click
+        # probability of one mode at trace' = 2 + M(trace - 2) and
+        # det' = 1 + M(det - 1) + M(M - 1)(trace - 2)^2/2; the residual is
+        # of order e^3, so halving e divides it by about 8.  (A thermal-edge
+        # state maps above (trace'/2)^2 and is refused.)
+        trace, det = state
+        trace_m = 2 + modes * (trace - 2)
+        det_m = 1 + modes * (det - 1) + modes * (modes - 1) * (trace - 2) ** 2 / 2
+        effs = (0.02, 0.01, 0.005)
+        residuals = [abs(no_click_from_invariants(trace, det, e) ** modes
+                         - no_click_from_invariants(trace_m, det_m, e)) for e in effs]
+        assert all(r < 0.1 * e**3 for r, e in zip(residuals, effs))
+        assert all(7.5 < big / small < 8.5 for big, small in zip(residuals, residuals[1:]))
+
 
 class TestGainBounds:
     def test_vacuum_trace(self):
