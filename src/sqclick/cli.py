@@ -2,9 +2,9 @@
 
 Every command writes its output through ``_emit``: an ``--output`` file
 (and ``sweep --details``) starts with a commented provenance manifest
-naming the command and its arguments, followed by exactly what stdout
-would carry without ``--output``.  Stdout carries the plain content, so
-repeated runs with the same seed are byte-identical.
+naming the command and every option it parsed, followed by exactly what
+stdout would carry without ``--output``.  Stdout carries the plain
+content, so repeated runs with the same seed are byte-identical.
 
 Each command imports the modules it runs and builds the manifest only for a file:
 ``invert``, ``modefit`` and ``--help`` load no numpy, dataclasses or ``simulate``.
@@ -32,7 +32,6 @@ from .tables import (
     config_from_mapping,
     estimate_lines,
     fmt,
-    load_config,
     manifest_lines,
     parse_states,
     read_click_records,
@@ -58,30 +57,34 @@ _EPILOG = """exit codes:
 
 def _resolve_state(args):
     """State from --trace/--det or --g/--h; returns (trace, det, g, h)."""
-    has_td = args.trace is not None and args.det is not None
-    has_gh = args.g is not None and args.h is not None
-    if has_td == has_gh:
+    trace, det, g, h = args.state_trace, args.state_det, args.state_g, args.state_h
+    has_gh = g is not None and h is not None
+    if (trace is not None and det is not None) == has_gh:
         raise ValueError("specify the state as either --trace/--det or --g/--h")
     if has_gh:
-        trace, det = trace_det_from_squeezer(SqueezerParams(g=args.g, h=args.h))
-        return trace, det, args.g, args.h
-    _require_physical(args.trace, args.det)
-    g, h = squeezer_from_trace_det(args.trace, args.det)
-    return args.trace, args.det, g, h
+        trace, det = trace_det_from_squeezer(SqueezerParams(g=g, h=h))
+    else:
+        _require_physical(trace, det)
+        g, h = squeezer_from_trace_det(trace, det)
+    return trace, det, g, h
 
 
-def _emit(args, write, write_details=None, **fields):
+def _emit(args, write, write_details=None, **resolved):
     """Write a command's output and return its exit code.
 
     ``write(fh, manifest)`` writes the content: to ``--output`` after the
-    provenance manifest of ``args.command`` and ``fields``, or to stdout
-    without one.  ``write_details``, a writer of the same kind, writes the
-    ``--details`` file with the same manifest, built once for both files.
+    provenance manifest, or to stdout without one.  The manifest records
+    ``args.command`` and every option in ``args`` (floats through fmt), with
+    the ``resolved`` values in place of the options of the same name.
+    ``write_details``, a writer of the same kind, writes the ``--details``
+    file with the same manifest, built once for both files.
     """
     files = [(path, writer) for path, writer in
              ((args.output, write), (write_details and args.details, write_details)) if path]
     if not args.output:
         write(sys.stdout, [])
+    fields = {key: fmt(value) if isinstance(value, float) else value
+              for key, value in (vars(args) | resolved).items() if key not in ("command", "func")}
     manifest = manifest_lines(args.command, __version__, **fields) if files else None
     for path, writer in files:
         with open(path, "w", encoding="utf-8") as fh:
@@ -106,19 +109,17 @@ def cmd_invert(args) -> int:
     else:
         lines.append("warning = unphysical result: 1 <= det <= (trace/2)^2 violated; "
                      "derived quantities omitted")
-    return _emit(args, _lines(lines), t1=fmt(args.t1), p1=fmt(args.p1), t2=fmt(args.t2),
-                 p2=fmt(args.p2), eta=fmt(args.eta), output=args.output)
+    return _emit(args, _lines(lines))
 
 
 def cmd_simulate(args) -> int:
     from .simulate import simulate_run
 
-    config = load_config(args.config)
+    config = config_from_mapping(read_key_values(args.config))
     trace, det, g, h = _resolve_state(args)
     records = simulate_run(trace, det, config, args.seed)
     return _emit(args, lambda fh, manifest: write_click_records(fh, records, manifest),
-                 config=args.config, seed=args.seed, output=args.output, state_trace=fmt(trace),
-                 state_det=fmt(det), state_g=fmt(g), state_h=fmt(h))
+                 state_trace=trace, state_det=det, state_g=g, state_h=h)
 
 
 def cmd_estimate(args) -> int:
@@ -134,10 +135,7 @@ def cmd_estimate(args) -> int:
             for r in records
         ]
     est = ml_estimate(records, args.eta)
-    return _emit(args, _lines(estimate_lines(est)), data=args.data, eta=fmt(args.eta),
-                 dark_rate=fmt(args.dark_rate),
-                 duration=None if args.duration is None else fmt(args.duration),
-                 output=args.output)
+    return _emit(args, _lines(estimate_lines(est)))
 
 
 def cmd_sweep(args) -> int:
@@ -171,9 +169,7 @@ def cmd_sweep(args) -> int:
     else:
         results = state_sweep(parse_states(mapping["states"]), config, args.runs, args.seed)
     return _emit(args, lambda fh, manifest: write_sweep(fh, results, manifest),
-                 write_details=lambda fh, manifest: write_run_details(fh, results, manifest),
-                 config=args.config, mode=args.mode, seed=args.seed, output=args.output,
-                 details=args.details, runs=args.runs, exact_knowledge=args.exact_knowledge)
+                 write_details=lambda fh, manifest: write_run_details(fh, results, manifest))
 
 
 def cmd_modefit(args) -> int:
@@ -186,8 +182,7 @@ def cmd_modefit(args) -> int:
     lines = _key_value_lines(**fields, n_modes=n_modes)
     if n_modes == 0:
         lines.append("signal = none")
-    return _emit(args, _lines(lines), data=args.data, max_modes=args.max_modes,
-                 output=args.output)
+    return _emit(args, _lines(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,10 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate one acquisition, emit a click table")
     p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--trace", type=float, help="true trace of the covariance matrix")
-    p.add_argument("--det", type=float, help="true determinant of the covariance matrix")
-    p.add_argument("--g", type=float, help="phase-sensitive gain (alternative to --trace/--det)")
-    p.add_argument("--h", type=float, help="phase-insensitive gain")
+    for name, text in (("trace", "true trace of the covariance matrix"),
+                       ("det", "true determinant of the covariance matrix"),
+                       ("g", "phase-sensitive gain (alternative to --trace/--det)"),
+                       ("h", "phase-insensitive gain")):  # the manifest records state_<name>
+        p.add_argument(f"--{name}", type=float, dest=f"state_{name}", metavar=name.upper(),
+                       help=text)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="write the click table here instead of stdout")
     p.set_defaults(func=cmd_simulate)

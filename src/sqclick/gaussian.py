@@ -188,7 +188,8 @@ def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float,
     Solves u = 4/P^2 - 4 = t^2*a + 2*t*b for a = det - trace + 1, b = trace - 2
     and returns the raw (trace, det) = (2 + b, a + b + 1); no physicality
     clamping is applied, so noisy inputs may yield det < 1.  The t's must
-    already include the detection efficiency.
+    already include the detection efficiency.  Pairs whose solve underflows
+    to a zero divisor or gives a non-finite result raise EstimationError.
     """
     for t in (t1, t2):
         if not 0.0 < t <= 1.0:
@@ -200,10 +201,16 @@ def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float,
         raise EstimationError(
             f"transmittances {t1} and {t2} too close to invert (|dt| < {DEGENERATE_T_TOL})"
         )
-    u1, u2 = (4.0 * (1.0 - p) * (1.0 + p) / (p * p) for p in (p1, p2))
-    # The second row times 2*t1/t2^2 makes the system symmetric.
-    a, b = _solve2(t1 * t1, 2.0 * t1, 4.0 * t1 / t2, u1, 2.0 * t1 * u2 / (t2 * t2))
-    return float(2.0 + b), float(a + b + 1.0)
+    try:
+        u1, u2 = (4.0 * (1.0 - p) * (1.0 + p) / (p * p) for p in (p1, p2))
+        # The second row times 2*t1/t2^2 makes the system symmetric.
+        a, b = _solve2(t1 * t1, 2.0 * t1, 4.0 * t1 / t2, u1, 2.0 * t1 * u2 / (t2 * t2))
+    except ZeroDivisionError:  # p*p or the system's determinant underflowed to zero
+        a = b = math.inf
+    trace, det = 2.0 + b, a + b + 1.0
+    if not (math.isfinite(trace) and math.isfinite(det)):
+        raise EstimationError(f"pairs ({t1}, {p1}) and ({t2}, {p2}) have no finite inversion")
+    return float(trace), float(det)
 
 
 def sensitivity(p1: float, eta: float) -> tuple[float, float]:

@@ -37,17 +37,26 @@ def manifest_lines(command: str, version: str, **fields) -> list:
             *(f"# {key} = {value}" for key, value in fields.items()), f"# created = {created}"]
 
 
-def _data_lines(path, header=None):
-    """Yield (lineno, stripped line, raw line) for each data line of a text file.
+def _read_rows(path, parse, header=None, what=None) -> list:
+    """``parse(line, raw)`` of each data line of a text file, in file order.
 
     Blank lines, '#' comment lines and lines starting with ``header`` are
-    skipped.
+    skipped; ``line`` is the stripped line.  A ValueError from ``parse``
+    becomes a ConfigError naming ``path:line``.  With ``what``, a file
+    without data lines is refused as holding no ``what``.
     """
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line and not line.startswith("#") and not (header and line.startswith(header)):
-                yield lineno, line, raw
+                try:
+                    rows.append(parse(line, raw))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    if what and not rows:
+        raise ConfigError(f"{path}: no {what} found")
+    return rows
 
 
 def _write_table(fh, manifest, columns, rows):
@@ -61,13 +70,13 @@ def _write_table(fh, manifest, columns, rows):
 
 def read_key_values(path) -> dict:
     """Parse a 'key = value' file; '#' starts a comment, blank lines ignored."""
-    mapping = {}
-    for lineno, line, raw in _data_lines(path):
+    def pair(line, raw):
         key, eq, value = line.split("#", 1)[0].partition("=")
         if not eq:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        mapping[key.strip()] = value.strip()
-    return mapping
+            raise ValueError(f"expected 'key = value', got {raw!r}")
+        return key.strip(), value.strip()
+
+    return dict(_read_rows(path, pair))
 
 
 def _parse_float(mapping, key, default=None):
@@ -116,10 +125,6 @@ def config_from_mapping(mapping: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path):
-    return config_from_mapping(read_key_values(path))
-
-
 def parse_states(text: str) -> list:
     """Parse 'trace,det; trace,det; ...' into (trace, det) pairs."""
     states = []
@@ -145,22 +150,16 @@ def read_click_records(path) -> list:
     """Read a click table; comment lines and the header row are skipped."""
     from .simulate import ClickRecord
 
-    records = []
-    for lineno, line, _raw in _data_lines(path, "t_nominal"):
+    def record(line, _raw):
         parts = line.split(",")
         if len(parts) != 4:
-            raise ConfigError(f"{path}:{lineno}: expected 4 comma-separated fields")
-        try:
-            subtracted = int(parts[3])
-            if subtracted not in (0, 1):
-                raise ValueError(f"dark_subtracted = {subtracted} is not 0 or 1")
-            records.append(ClickRecord(float(parts[0]), int(parts[1]), int(parts[2]),
-                                       bool(subtracted)))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    if not records:
-        raise ConfigError(f"{path}: no click records found")
-    return records
+            raise ValueError("expected 4 comma-separated fields")
+        subtracted = int(parts[3])
+        if subtracted not in (0, 1):
+            raise ValueError(f"dark_subtracted = {subtracted} is not 0 or 1")
+        return ClickRecord(float(parts[0]), int(parts[1]), int(parts[2]), bool(subtracted))
+
+    return _read_rows(path, record, "t_nominal", "click records")
 
 
 def estimate_lines(est) -> list:
@@ -185,15 +184,10 @@ def write_run_details(fh, results, manifest: list):
 
 def read_mode_samples(path) -> list:
     """Read (eff_t, p[, sigma_p]) rows for the mode-count diagnostic."""
-    samples = []
-    for lineno, line, raw in _data_lines(path, "eff_t"):
+    def sample(line, raw):
         parts = line.replace(",", " ").split()
         if len(parts) not in (2, 3):
-            raise ConfigError(f"{path}:{lineno}: expected 'eff_t p [sigma_p]', got {raw!r}")
-        try:
-            samples.append(tuple(float(tok) for tok in parts))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    if not samples:
-        raise ConfigError(f"{path}: no samples found")
-    return samples
+            raise ValueError(f"expected 'eff_t p [sigma_p]', got {raw!r}")
+        return tuple(float(tok) for tok in parts)
+
+    return _read_rows(path, sample, "eff_t", "samples")

@@ -14,7 +14,7 @@ from sqclick import (
     no_click_from_invariants,
     variances_from_invariants,
 )
-from sqclick.cli import main
+from sqclick.cli import build_parser, main
 from sqclick.tables import estimate_lines
 
 TRACE0, DET0 = 2.321, 1.156
@@ -124,6 +124,14 @@ class TestInvert:
             ["invert", "--t1", "1.2", "--p1", "0.9", "--t2", "0.5", "--p2", "0.9"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("t1, p1", [("0.5", "1e-300"), ("1e-300", "0.5"), ("0.5", "1e-160")])
+    def test_non_finite_inversion_exit_code(self, t1, p1, capsys):
+        code = main(["invert", "--t1", t1, "--p1", p1, "--t2", "0.25", "--p2", "0.9"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no finite inversion" in captured.err
 
     @pytest.mark.parametrize(
         "flag, t1, t2, eta",
@@ -764,6 +772,15 @@ def test_manifest_records_options_that_change_output(command, options, recorded,
     manifest = [line for line in text.splitlines(keepends=True) if line.startswith("#")]
     for line in recorded:
         assert line in manifest
+
+
+@pytest.mark.parametrize("command", ["invert", "simulate", "estimate", "sweep", "modefit"])
+def test_manifest_records_every_parsed_option(command, tmp_path):
+    argv = command_argv(command, tmp_path) + ["--output", str(tmp_path / "out.txt")]
+    options = set(vars(build_parser().parse_args(argv))) - {"command", "func"}
+    assert main(argv) == 0
+    manifest = (tmp_path / "out.txt").read_text().split("# created = ")[0]
+    assert {key for key in options if f"\n# {key} = " not in manifest} == set()
 
 
 def test_cli_import_leaves_random_modules_unloaded():

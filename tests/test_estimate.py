@@ -106,6 +106,16 @@ class TestInvertTwoPoint:
         with pytest.raises(EstimationError):
             invert_two_point(0.5, 0.9, 0.5 + 1e-7, 0.9)
 
+    @pytest.mark.parametrize(
+        "t1, p1",
+        [(0.5, 1e-300), (1e-300, 0.5), (0.5, 1e-160)],
+        ids=["p-squared-underflows", "determinant-underflows", "u-overflows"],
+    )
+    def test_non_finite_solve_rejected(self, t1, p1):
+        # p1*p1 or the 2x2 determinant is 0.0, or 4/p1^2 is inf: no finite (trace, det)
+        with pytest.raises(EstimationError, match="no finite inversion"):
+            invert_two_point(t1, p1, 0.25, 0.9)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             invert_two_point(0.0, 0.9, 0.5, 0.9)

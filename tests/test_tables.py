@@ -8,7 +8,6 @@ from sqclick.tables import (
     ConfigError,
     config_from_mapping,
     estimate_lines,
-    load_config,
     manifest_lines,
     parse_states,
     read_click_records,
@@ -35,7 +34,7 @@ class TestConfigParsing:
     def test_full_config(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT)
-        cfg = load_config(path)
+        cfg = config_from_mapping(read_key_values(path))
         assert cfg.rep_rate == 780400.0
         assert cfg.duration == 100.0
         assert cfg.transmittances == (1.0, 0.75, 0.5, 0.25)
