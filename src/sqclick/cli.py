@@ -141,7 +141,7 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     from dataclasses import replace
 
-    from .ensemble import eta_sweep, state_sweep
+    from .ensemble import _sweep
 
     mapping = read_key_values(args.config)
     config = config_from_mapping(mapping)
@@ -152,22 +152,17 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"{args.mode} sweep config requires key '{key}'")
     if args.mode == "eta":
         etas = _parse_float_list(mapping["etas"], "etas")
-        for eta in etas:  # each value is a sweep point's eta_apd, under its rule
-            try:
-                replace(config, eta_apd=eta)
-            except ValueError as exc:
-                raise ConfigError(f"config key 'etas': {exc}") from exc
-        results = eta_sweep(
-            _parse_float(mapping, "state_trace"),
-            _parse_float(mapping, "state_det"),
-            config,
-            etas,
-            args.runs,
-            with_uncertainties=True,  # --exact-knowledge has zeroed them in config
-            seed=args.seed,
-        )
+        try:  # each value is a sweep point's eta_apd, under its rule
+            configs = [replace(config, eta_apd=eta) for eta in etas]
+        except ValueError as exc:
+            raise ConfigError(f"config key 'etas': {exc}") from exc
+        if not configs:
+            raise ConfigError("config key 'etas': the list is empty")
+        trace, det = _parse_float(mapping, "state_trace"), _parse_float(mapping, "state_det")
+        points = [(trace, det, point_config) for point_config in configs]
     else:
-        results = state_sweep(parse_states(mapping["states"]), config, args.runs, args.seed)
+        points = [(trace, det, config) for trace, det in parse_states(mapping["states"])]
+    results = _sweep(points, args.runs, args.seed)
     return _emit(args, lambda fh, manifest: write_sweep(fh, results, manifest),
                  write_details=lambda fh, manifest: write_run_details(fh, results, manifest))
 

@@ -232,7 +232,8 @@ def _ml_solve(eff, ns, cs):
     s22, s21, s11, g2, g1 = (x.sum(-1) for x in (w * e2 * e2, w * e2 * e1, w * e1 * e1,
                                                   w * e2 * u_hat, w * e1 * u_hat))
     a, b = _solve2(s22, s21, s11, g2, g1)
-    b = np.where(b > 0.0, b, 1.0)
+    finite = np.isfinite(a) & np.isfinite(b)  # a singular fit starts from (0, 1)
+    a, b = np.where(finite, a, 0.0), np.where(finite & (b > 0.0), b, 1.0)
     # One Newton loop for the pure edge a = -b (det = 1) and the thermal edge
     # a = b^2/4 (det = (trace/2)^2), each from its own weighted fit.  On the pure
     # edge u = b*(e1 - e2), a ratio of the sums above.  On the thermal edge

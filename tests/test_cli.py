@@ -1,7 +1,9 @@
+import io
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,14 @@ from sqclick import (
     variances_from_invariants,
 )
 from sqclick.cli import build_parser, main
-from sqclick.tables import estimate_lines
+from sqclick.ensemble import eta_sweep, state_sweep
+from sqclick.tables import (
+    config_from_mapping,
+    estimate_lines,
+    parse_states,
+    read_key_values,
+    write_sweep,
+)
 
 TRACE0, DET0 = 2.321, 1.156
 
@@ -467,6 +476,19 @@ class TestEstimate:
         assert captured.out == ""
         assert f"{data}:3: dark_subtracted = {flag} is not 0 or 1" in captured.err
 
+    def test_singular_weighted_start_finds_interior_maximum(self, tmp_path, capsys):
+        # one dark setting and three saturated ones make the weighted start singular;
+        # the maximum is interior, far above the thermal edge once reported here
+        n = 5_383_592
+        rows = [(0.5, 0)] + [(t, n) for t in ("0.25", "0.664458068287437", "1")]
+        data = tmp_path / "clicks.csv"
+        data.write_text("t_nominal,trials,clicks,dark_subtracted\n"
+                        + "".join(f"{t},{n},{c},0\n" for t, c in rows))
+        assert main(["estimate", "--data", str(data), "--eta", "1"]) == 0
+        rec = record_dict(capsys.readouterr().out)
+        assert (rec["trace"], rec["det"]) == ("53.8891972306", "84.7725125099")
+        assert rec["log_likelihood_at_max"] == "-12106052.1882"
+
     def test_missing_data_exit_code(self):
         assert main(["estimate", "--data", "/nonexistent.csv", "--eta", "0.5"]) == 2
 
@@ -524,6 +546,24 @@ class TestSweep:
         noisy = capsys.readouterr().out
         assert exact != noisy
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("mode", ["eta", "state"])
+    def test_output_is_the_library_sweep(self, sweep_config, capsys, mode, exact):
+        argv = ["sweep", "--config", sweep_config, "--mode", mode, "--seed", "5", "--runs", "3"]
+        assert main(argv + ["--exact-knowledge"] * exact) == 0
+        mapping = read_key_values(sweep_config)
+        config = config_from_mapping(mapping)
+        if exact:
+            config = replace(config, t_uncertainty=0.0, eta_rel_uncertainty=0.0)
+        if mode == "eta":
+            results = eta_sweep(float(mapping["state_trace"]), float(mapping["state_det"]),
+                                config, [0.3, 0.6], 3, with_uncertainties=True, seed=5)
+        else:
+            results = state_sweep(parse_states(mapping["states"]), config, 3, 5)
+        expected = io.StringIO()
+        write_sweep(expected, results, [])
+        assert capsys.readouterr().out == expected.getvalue()
+
     def test_blocked_setting_with_calibration_noise(self, tmp_path, capsys):
         # a t = 0 setting must stay dark when the other settings are perturbed
         path = tmp_path / "blocked.cfg"
@@ -537,7 +577,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "old,new",
         [("etas = 0.3, 0.6", "etas = 0.1, abc"), ("state_trace = 2.321", "state_trace = 2.3x"),
-         ("etas = 0.3, 0.6", "etas = 0.3, 1.5"), ("etas = 0.3, 0.6", "etas = 0.3, nan")],
+         ("etas = 0.3, 0.6", "etas = 0.3, 1.5"), ("etas = 0.3, 0.6", "etas = 0.3, nan"),
+         ("etas = 0.3, 0.6", "etas = ")],
     )
     def test_malformed_sweep_values_exit_code(self, tmp_path, capsys, old, new):
         # an etas value is refused by eta_apd's rule, as a config error naming etas

@@ -403,6 +403,45 @@ def test_ml_estimate_reaches_dense_grid_maximum(
     assert 1.0 <= est.det <= 0.25 * est.trace * est.trace
 
 
+@pytest.mark.parametrize("n", [10**5, 3 * 10**5, 5_383_592, 10**8, 10**12])
+def test_singular_weighted_start_reaches_interior_maximum(n):
+    # a dark t = 0.5 setting and three saturated ones: the weighted start's 2x2
+    # system is singular to rounding, and the maximum is interior
+    records = [ClickRecord(0.5, n, 0)] + [
+        ClickRecord(t, n, n) for t in (0.25, 0.664458068287437, 1.0)]
+    est = ml_estimate(records, 1.0)
+    reference = log_likelihood(53.889, 84.773, records, 1.0)  # near the maximum
+    assert est.log_likelihood_at_max >= reference - 1e-12 * abs(reference)
+    assert est.trace == pytest.approx(53.8891972306, rel=1e-6)
+    assert est.det == pytest.approx(84.7725125099, rel=1e-6)
+
+
+def test_ml_solve_beats_grid_on_dark_and_saturated_tables():
+    # one dark setting (sometimes more), the rest saturated or within 2 clicks of
+    # n: tables whose weighted start can be singular.  Oracle: likelihood_grid's
+    # kernel over 181 log-spaced b = trace - 2 in [1e-9, 1e9] by 61 det fractions
+    # of [1, (trace/2)^2], a grid that is not rectangular in (trace, det); each
+    # block is one batched solve, bit-identical to ml_estimate on each table
+    trace = 2.0 + np.geomspace(1e-9, 1e9, 181)[:, None]
+    det = 1.0 + np.linspace(0.0, 1.0, 61) * (0.25 * trace * trace - 1.0)
+    rng = np.random.default_rng(0)
+    for n_settings in range(3, 9):
+        runs, etas = [], []
+        for _ in range(40):
+            n = int(10 ** rng.uniform(3.0, 12.0))
+            dark = rng.random(n_settings) < 0.1
+            dark[0] = True
+            clicks = np.where(dark, 0, n - rng.integers(0, 3, n_settings))
+            ts = rng.uniform(0.05, 1.0, n_settings)
+            runs.append([ClickRecord(float(t), n, int(c)) for t, c in zip(ts, clicks)])
+            etas.append(10 ** rng.uniform(-3.0, 0.0))
+        eff, ns, cs = _setting_arrays(runs, etas)
+        log_ls = _ml_solve(eff, ns, cs)[3]
+        for row, log_l in enumerate(log_ls):
+            grid = estimate._loglike(trace[..., None], det[..., None], eff[row], ns[row], cs[row])
+            assert grid.max() <= log_l + 1e-9 * abs(log_l) + 1e-6, (runs[row], etas[row])
+
+
 def edge_loglike(b, kappa, lam, eff, ns, cs):
     """Log-likelihood of one row at each b on the edge a = kappa*b^2 + lam*b."""
     b = np.asarray(b, dtype=float)[..., None]
