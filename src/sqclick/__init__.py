@@ -23,11 +23,10 @@ _EXPORTS = {
         "gain_bounds_from_trace", "check_physicality", "invert_two_point", "sensitivity",
         "expected_click_rate", "classical_estimate", "homodyne_correct", "estimate_eta"),
     "simulate": ("ExperimentConfig", "ClickRecord", "simulate_run", "subtract_dark",
-                 "perturbed_eta"),
+                 "perturbed_eta", "derive_seed"),
     "estimate": ("Estimate", "log_likelihood", "likelihood_grid", "ml_estimate"),
     "modes": ("mode_count_fit",),
-    "ensemble": ("EnsembleResult", "RunResult", "derive_seed", "run_ensemble", "eta_sweep",
-                 "state_sweep"),
+    "ensemble": ("EnsembleResult", "RunResult", "run_ensemble", "eta_sweep", "state_sweep"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_OWNER)

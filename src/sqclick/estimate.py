@@ -67,6 +67,8 @@ def _check_etas(etas):
 def _setting_arrays(runs, etas):
     """(R, S) effective transmittance, trials and clicks of click-record lists:
     one row per run, settings last."""
+    if not all(runs):
+        raise EstimationError("no click records supplied")
     _check_etas(etas)
     eff = np.array([[eta * r.t_nominal for r in data] for data, eta in zip(runs, etas)], float)
     ns = np.array([[r.trials for r in data] for data in runs], float)
@@ -107,8 +109,6 @@ def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> 
     eta_assumed * t_nominal.  P = 1 with zero clicks contributes nothing;
     P = 1 with clicks present returns -inf.
     """
-    if not data:
-        raise EstimationError("no click records supplied")
     eff, ns, cs = _setting_arrays([data], [eta_assumed])
     _require_physical(trace, det)
     return float(_loglike(trace, det, eff, ns, cs)[0])

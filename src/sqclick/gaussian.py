@@ -350,15 +350,18 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
 
     Least-squares fit of the single scale factor eta in
     rate = eta * rep_rate * (trace - 2)/4 (see expected_click_rate) across
-    calibration points (rate, SqueezerParams).  Result clamped to (0, 1]; a
-    scale that is not finite (a NaN or inf input, or overflow) raises EstimationError.
+    calibration points (rate, SqueezerParams), made per pulse (rate/rep_rate)
+    so that no sum overflows.  Result clamped to (0, 1]; a rep_rate that is
+    not positive and finite, or a scale that is not finite, raises EstimationError.
     """
     if not click_rates:
         raise EstimationError("no calibration points supplied")
-    preds = [expected_click_rate(p, 1.0, rep_rate) for _, p in click_rates]
-    rates = [float(r) for r, _ in click_rates]
+    if not 0.0 < rep_rate < math.inf:
+        raise EstimationError(f"rep_rate = {rep_rate} must be positive and finite")
+    preds = [expected_click_rate(p, 1.0, 1.0) for _, p in click_rates]
+    rates = [float(r) / rep_rate for r, _ in click_rates]
     pp = sum(p * p for p in preds)
-    if not pp > 0.0:  # also a NaN rep_rate, or predictions whose squares underflow
+    if not pp > 0.0:  # also predictions whose squares underflow
         raise EstimationError("all calibration points are at vacuum gain; eta undetermined")
     eta = sum(r * p for r, p in zip(rates, preds)) / pp
     if not math.isfinite(eta):

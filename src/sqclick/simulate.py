@@ -10,11 +10,18 @@ relative error (``perturbed_eta``).  Dark counts are an independent
 Poisson stream.  The click probabilities come from ``gaussian``; this
 module only draws.  ``ClickRecord`` is a validating namedtuple; the config
 stays a frozen dataclass, as ``dataclasses.replace`` re-runs its checks.
+
+This module owns the streams: seed s drives PCG64 seeded with the four
+SplitMix64 words ``derive_seed(s, 0..3)``, built from Python ints for one
+seed and in one array pass for an ensemble's (``generators``).
 """
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gaussian import _ETA_FLOOR, _click_probability, _require_physical
 
@@ -22,6 +29,53 @@ from .gaussian import _ETA_FLOOR, _click_probability, _require_physical
 # mean of at most its int64 maximum less 10 standard deviations.
 _MAX_TRIALS = 2**63 - 1
 _MAX_DARK = _MAX_TRIALS - 10.0 * math.sqrt(_MAX_TRIALS)
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def derive_seed(master, index):
+    """Deterministic 64-bit seed for stream ``index`` of ``master`` (SplitMix64).
+
+    Either may be a uint64 array; arrays broadcast and wrap mod 2**64 as the masks
+    do on Python ints.  numpy integer scalars would overflow instead.
+    """
+    z = ((index + 1) * _GOLDEN + (master & _MASK64)) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class SeedState:
+    """Four precomputed uint64 seed words in SeedSequence's place.
+
+    PCG64 asks for exactly (4, uint64); any other request means numpy seeds
+    differently, and raises instead of silently changing a stream.
+    """
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(f"unexpected seed request ({n_words}, {np.dtype(dtype)}); "
+                               "only (4, uint64) is precomputed")
+        return self._words
+
+
+def generators(seeds):
+    """An iterator of a Generator per seed s, PCG64 seeded with derive_seed(s, 0..3).
+
+    A list of ints gets its words from Python ints (cheaper for a few seeds), a
+    uint64 array from one array pass.  SeedState is registered as numpy's
+    ISeedSequence here, not at import, so that importing loads no numpy.random.
+    """
+    if isinstance(seeds, np.ndarray):
+        words = derive_seed(seeds[:, None], np.arange(4, dtype=np.uint64))
+    else:
+        seeds = [operator.index(s) for s in seeds]  # a numpy integer seeds as its int
+        words = np.array([[derive_seed(s, k) for k in range(4)] for s in seeds], np.uint64)
+    np.random.bit_generator.ISeedSequence.register(SeedState)
+    return (np.random.Generator(np.random.PCG64(SeedState(w))) for w in words)
 
 
 @dataclass(frozen=True)
@@ -141,9 +195,7 @@ def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) 
     transmittances; the (possibly perturbed) true values stay internal,
     exactly like a real calibration error would.
     """
-    from numpy.random import default_rng  # deferred: tables and the CLI import this module without numpy
-
-    rows, _ = _draw_clicks(trace, det, config, [default_rng(seed)])
+    rows, _ = _draw_clicks(trace, det, config, generators([seed]))
     n = config.n_trials
     return [ClickRecord(t, n, c) for t, c in zip(config.transmittances, rows[0])]
 
@@ -175,9 +227,7 @@ def perturbed_eta(config: ExperimentConfig, seed: int) -> float:
     """
     if config.eta_rel_uncertainty == 0.0:
         return config.eta_apd
-    from numpy.random import default_rng
-
-    return _draw_etas(config, [default_rng(seed)])[0]
+    return _draw_etas(config, generators([seed]))[0]
 
 
 def _draw_etas(config, rngs):

@@ -16,8 +16,7 @@ from sqclick import (
     subtract_dark,
 )
 from sqclick import ensemble, estimate
-from sqclick.ensemble import SeedState, generators, pcg64_seed_states
-from sqclick.simulate import _draw_clicks
+from sqclick.simulate import _draw_clicks, generators
 
 TRACE0, DET0 = 2.321, 1.156
 
@@ -61,19 +60,28 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
 
 
 class TestSeedingPass:
-    def test_states_match_default_rng(self):
+    def test_one_seed_and_array_paths_agree(self):
+        # simulate_run and perturbed_eta build one seed's words from Python ints,
+        # run_ensemble all its seeds' words in one array pass
         seeds = EDGE_SEEDS + [derive_seed(17, k) for k in range(1000)]
-        for seed, rng in zip(seeds, generators(seeds)):
-            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        batch = generators(np.array(seeds, dtype=np.uint64))
+        for seed, rng in zip(seeds, batch, strict=True):
+            (alone,) = generators([seed])
+            words = [derive_seed(seed, k) for k in range(4)]
+            assert rng.bit_generator.seed_seq.generate_state(4, np.uint64).tolist() == words
+            assert alone.bit_generator.seed_seq.generate_state(4, np.uint64).tolist() == words
+            assert rng.bit_generator.state == alone.bit_generator.state
+            first, again = (g.integers(2**64, size=3, dtype=np.uint64) for g in (rng, alone))
+            assert first.tolist() == again.tolist()
 
     @pytest.mark.parametrize("request_", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
                                           (8, np.uint64)])
     def test_adapter_rejects_other_requests(self, request_):
-        state = SeedState(pcg64_seed_states([5])[0])
+        (rng,) = generators([5])
+        state = rng.bit_generator.seed_seq
         with pytest.raises(RuntimeError):
             state.generate_state(*request_)
-        assert (state.generate_state(4, np.uint64)
-                == np.random.SeedSequence(5).generate_state(4, np.uint64)).all()
+        assert state.generate_state(4, np.uint64).tolist() == [derive_seed(5, k) for k in range(4)]
 
 
 class TestRunEnsemble:
@@ -173,8 +181,7 @@ def test_batched_runs_equal_serial_estimates(eta, overrides):
     res = run_ensemble(TRACE0, DET0, cfg, 40, seed=21)
     assert run_ensemble(TRACE0, DET0, cfg, 12, seed=21).runs == res.runs[:12]
     for j, run in enumerate(res.runs):
-        rng = np.random.default_rng(derive_seed(21, 2 * j))
-        _, (t_true,) = _draw_clicks(TRACE0, DET0, cfg, [rng])
+        _, (t_true,) = _draw_clicks(TRACE0, DET0, cfg, generators([derive_seed(21, 2 * j)]))
         assert run.t_true == t_true
         records = simulate_run(TRACE0, DET0, cfg, derive_seed(21, 2 * j))
         if cfg.dark_rate > 0.0:
@@ -196,24 +203,24 @@ def test_sweep_streams_are_pinned():
     etas = [0.05, 0.5]
     res = eta_sweep(TRACE0, DET0, cfg, etas, 200, with_uncertainties=True, seed=2026)
     golden = [
-        (("0.0164835", "0.169795"),
-         [(0, "0x1.9dc9b5e2a28e7p-5",
-           ("0x1.fe5bcd9bac847p-1", "0x1.85979b191513ap-1", "0x1.00c553342a99fp-1",
-            "0x1.05bb470da45f6p-2"), [159, 98, 79, 35],
-           ("2.30204", "1.32484", "-2569.12"), False),
-          (199, "0x1.943c55c97dd7ap-5",
-           ("0x1.0000000000000p+0", "0x1.7f55496c3adcep-1", "0x1.fa49dcb17d0b9p-2",
-            "0x1.017ccb9691ccfp-2"), [150, 115, 72, 35],
-           ("2.31001", "1.33404", "-2574.73"), False)]),
-        (("0.0178087", "0.0695816"),
-         [(0, "0x1.fe7b68f7bfc6fp-2",
-           ("0x1.fba1f02166d8dp-1", "0x1.7ddc6a0a95007p-1", "0x1.fca2255bd1ab5p-2",
-            "0x1.09f11b380ea1ap-2"), [1240, 1009, 720, 404],
-           ("2.35182", "1.01077", "-16017.1"), True),
-          (199, "0x1.011d5c5618926p-1",
-           ("0x1.0000000000000p+0", "0x1.816916c1e25fap-1", "0x1.0370c8eb458b7p-1",
-            "0x1.f82fb2b8308c0p-3"), [1302, 1040, 742, 337],
-           ("2.30899", "1.21103", "-16117.2"), True)]),
+        (("0.0183741", "0.16935"),
+         [(0, "0x1.972620930995dp-5",
+           ("0x1.0000000000000p+0", "0x1.83f1ced75d107p-1", "0x1.ffcd4ead1031bp-2",
+            "0x1.f42d4f5be802fp-3"), [140, 116, 77, 35],
+           ("2.31069", "1", "-2556.16"), False),
+          (199, "0x1.96f4b66fa8ba2p-5",
+           ("0x1.fe123a5a41e89p-1", "0x1.84124bd0e00f4p-1", "0x1.00d32a224493ep-1",
+            "0x1.0592a7e327603p-2"), [165, 119, 71, 28],
+           ("2.31707", "1.3422", "-2626.55"), False)]),
+        (("0.0157224", "0.0631989"),
+         [(0, "0x1.028c47fa0ecdbp-1",
+           ("0x1.0000000000000p+0", "0x1.80792e8b851bfp-1", "0x1.fe4f3a0f4acd9p-2",
+            "0x1.fb4b3bfc08313p-3"), [1340, 1020, 738, 372],
+           ("2.318", "1.18695", "-16318.9"), True),
+          (199, "0x1.fc6c340bb4ae7p-2",
+           ("0x1.ffae12bdf868dp-1", "0x1.7eeb4cb42405ap-1", "0x1.007400be24a49p-1",
+            "0x1.eb37509da1683p-3"), [1312, 980, 710, 350],
+           ("2.30216", "1.2247", "-15866"), True)]),
     ]
 
     def g6(*xs):

@@ -192,6 +192,11 @@ class TestLogLikelihood:
         with pytest.raises(EstimationError, match="no click records supplied"):
             log_likelihood(2.5, 1.2, [], 0.5)
 
+    def test_grid_of_no_records_rejected(self):
+        # it returned a grid of 0.0 log-likelihoods
+        with pytest.raises(EstimationError, match="no click records supplied"):
+            likelihood_grid([], 0.5, np.array([2.5]), np.array([1.2]))
+
     def test_unphysical_parameters_rejected(self):
         rec = ClickRecord(t_nominal=1.0, trials=10, clicks=1)
         with pytest.raises(UnphysicalStateError):
@@ -237,6 +242,11 @@ class TestMlEstimate:
         est = ml_estimate(noiseless_records(2.6, 1.3, 0.3), 0.3)
         assert est.trace == pytest.approx(2.6, abs=2e-4)
         assert est.det == pytest.approx(1.3, abs=2e-4)
+
+    def test_no_records_rejected(self):
+        # it said "need at least two distinct nonzero transmittances"
+        with pytest.raises(EstimationError, match="no click records supplied"):
+            ml_estimate([], 0.5)
 
     def test_vacuum_data(self):
         records = [
@@ -685,11 +695,26 @@ class TestEstimateEta:
         with pytest.raises(EstimationError):
             estimate_eta([], 780400.0)
 
-    @pytest.mark.parametrize("rep_rate", [math.nan, 1e-170])
-    def test_undetermined_scale_rejected(self, rep_rate):
-        # a NaN prediction, or one whose square underflows, fixes no eta
-        with pytest.raises(EstimationError):
+    @pytest.mark.parametrize("rep_rate, expected", [(math.nan, None), (1e-170, 1.0)],
+                             ids=["nan", "1e-170"])
+    def test_undetermined_scale_rejected(self, rep_rate, expected):
+        # a NaN rep_rate fixes no eta; at 1e-170 pulses/s the per-pulse fit's
+        # scale is about 8e170, clamped to 1.0 (a fit in rate units underflowed)
+        if expected is None:
+            with pytest.raises(EstimationError):
+                estimate_eta([(1.0, SqueezerParams(2.0, 1.0))], rep_rate)
+        else:
+            assert estimate_eta([(1.0, SqueezerParams(2.0, 1.0))], rep_rate) == expected
+
+    @pytest.mark.parametrize("rep_rate", [0.0, -1.0, -math.inf])
+    def test_rep_rate_not_positive_rejected(self, rep_rate):
+        # 0 was reported as vacuum gain and -1 returned the 1e-12 floor
+        with pytest.raises(EstimationError, match="rep_rate"):
             estimate_eta([(1.0, SqueezerParams(2.0, 1.0))], rep_rate)
+
+    def test_large_finite_rates_do_not_overflow(self):
+        # in rate units the sum of squared predictions overflowed to inf
+        assert estimate_eta([(1e300, SqueezerParams(2.0, 1.0))], 1e200) == 1.0
 
     @pytest.mark.parametrize("rate, rep_rate", [(math.nan, 1e6), (1e3, math.inf), (math.inf, 1e6)],
                              ids=["nan-rate", "inf-rep-rate", "inf-rate"])

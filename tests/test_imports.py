@@ -37,7 +37,7 @@ def fresh_python(code, *args):
         ("import", ["numpy", *STARTUP_FREE], 0),
         ("help", ["numpy", *STARTUP_FREE], 0),
         ("invert", ["numpy", *STARTUP_FREE], 0),
-        ("estimate", ["sqclick.ensemble"], 0),
+        ("estimate", ["sqclick.ensemble", "numpy.random"], 0),
         ("modefit", ["numpy", "sqclick.estimate", "sqclick.ensemble", *STARTUP_FREE], 0),
         ("modefit-overflow", ["numpy", "sqclick.estimate", "sqclick.ensemble", *STARTUP_FREE], 3),
         ("simulate", ["sqclick.ensemble", "sqclick.estimate"], 0),

@@ -86,6 +86,15 @@ class TestSimulateRun:
         b = simulate_run(TRACE0, DET0, cfg, seed=123)
         assert a == b
 
+    def test_seed_is_an_integer_reduced_mod_2_64(self):
+        # like derive_seed's masters: a numpy integer seeds as its int, a float is refused
+        cfg = small_config(t_uncertainty=0.005)
+        ref = simulate_run(TRACE0, DET0, cfg, seed=7)
+        assert simulate_run(TRACE0, DET0, cfg, seed=np.int64(7)) == ref
+        assert simulate_run(TRACE0, DET0, cfg, seed=2**64 + 7) == ref
+        with pytest.raises(TypeError):
+            simulate_run(TRACE0, DET0, cfg, seed=7.0)
+
     def test_different_seeds_differ(self):
         cfg = small_config()
         a = simulate_run(TRACE0, DET0, cfg, seed=1)
