@@ -8,10 +8,11 @@ keeps its artifacts so any statistic can be recomputed afterwards.
 Seeding: run k of an ensemble uses the derived seeds
 ``derive_seed(master, 2k)`` (data acquisition) and
 ``derive_seed(master, 2k + 1)`` (efficiency knowledge), and both sweeps
-give point k the master ``derive_seed(seed, k)``.  ``simulate`` turns each
-seed into its Generator; an ensemble builds its seeds and their words in
-array passes, and run k draws exactly what ``simulate_run`` and
-``perturbed_eta`` draw from its two seeds, however runs are scheduled.
+give point k the master ``derive_seed(seed, k)``; a master is any integer,
+numpy's included, taken mod 2**64.  An ensemble hands its seeds, built in
+one array pass, to ``simulate``'s draw helpers, which build the Generators
+and hold the no-noise rule, so run k draws exactly what ``simulate_run``
+and ``perturbed_eta`` draw from its two seeds, however runs are scheduled.
 Like ``ml_estimate``, an ensemble rejects an assumed efficiency below 1e-12.
 """
 
@@ -22,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimate import _check_etas, _ml_solve, ml_estimate  # noqa: F401  (ml_estimate: bench/ patches it here)
-from .simulate import (ExperimentConfig, _draw_clicks, _draw_etas, _expected_dark, derive_seed,
-                       generators)
+from .simulate import ExperimentConfig, _draw_clicks, _draw_etas, _expected_dark, derive_seed
 
 
 class RunResult(NamedTuple):
@@ -73,14 +73,11 @@ def run_ensemble(
         raise ValueError("n_runs must be >= 1")
     # run k: seed 2k for its data, 2k + 1 for its eta
     seeds = derive_seed(seed, np.arange(2 * n_runs, dtype=np.uint64))
-    rows, t_trues = _draw_clicks(trace_true, det_true, config, generators(seeds[0::2]))
+    rows, t_trues = _draw_clicks(trace_true, det_true, config, seeds[0::2])
     cs = np.array(rows, dtype=np.int64)
     if config.dark_rate > 0.0:
         cs = np.maximum(cs - _expected_dark(config.dark_rate, config.duration), 0)
-    if config.eta_rel_uncertainty > 0.0:
-        etas = _draw_etas(config, generators(seeds[1::2]))
-    else:
-        etas = [config.eta_apd] * n_runs
+    etas = _draw_etas(config, seeds[1::2])
     _check_etas(etas)
     eff = np.array(etas)[:, None] * np.array(config.transmittances)
     traces, dets, reliable, log_ls = (

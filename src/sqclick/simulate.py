@@ -13,7 +13,8 @@ stays a frozen dataclass, as ``dataclasses.replace`` re-runs its checks.
 
 This module owns the streams: seed s drives PCG64 seeded with the four
 SplitMix64 words ``derive_seed(s, 0..3)``, built from Python ints for one
-seed and in one array pass for an ensemble's (``generators``).
+seed and in one array pass for an ensemble's (``generators``), which the
+draw helpers call on the seeds they take; ``_draw_etas`` holds the no-noise rule.
 """
 
 import math
@@ -37,8 +38,10 @@ def derive_seed(master, index):
     """Deterministic 64-bit seed for stream ``index`` of ``master`` (SplitMix64).
 
     Either may be a uint64 array; arrays broadcast and wrap mod 2**64 as the masks
-    do on Python ints.  numpy integer scalars would overflow instead.
+    do on Python ints.  Any other master is coerced by operator.index (a float raises).
     """
+    if not isinstance(master, np.ndarray):
+        master = operator.index(master)
     z = ((index + 1) * _GOLDEN + (master & _MASK64)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -72,7 +75,6 @@ def generators(seeds):
     if isinstance(seeds, np.ndarray):
         words = derive_seed(seeds[:, None], np.arange(4, dtype=np.uint64))
     else:
-        seeds = [operator.index(s) for s in seeds]  # a numpy integer seeds as its int
         words = np.array([[derive_seed(s, k) for k in range(4)] for s in seeds], np.uint64)
     np.random.bit_generator.ISeedSequence.register(SeedState)
     return (np.random.Generator(np.random.PCG64(SeedState(w))) for w in words)
@@ -155,8 +157,8 @@ class ClickRecord(namedtuple("ClickRecord", "t_nominal trials clicks dark_subtra
         return self
 
 
-def _draw_clicks(trace, det, config, rngs):
-    """Click totals and true transmittances of one run per Generator in ``rngs``.
+def _draw_clicks(trace, det, config, seeds):
+    """Click totals and true transmittances of one run per seed in ``seeds``.
 
     Returns a list of rows, each a list of one click count per setting, and
     a list of true-transmittance tuples.  Each run draws, setting by
@@ -169,7 +171,7 @@ def _draw_clicks(trace, det, config, rngs):
     nominal = config.transmittances
     nominal_q = [_click_probability(trace, det, eta * t) for t in nominal] if sigma == 0.0 else None
     rows, t_trues = [], []
-    for rng in rngs:
+    for rng in generators(seeds):
         row, t_true = [], []
         for i, t_nom in enumerate(nominal):
             if nominal_q is None:
@@ -195,9 +197,8 @@ def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) 
     transmittances; the (possibly perturbed) true values stay internal,
     exactly like a real calibration error would.
     """
-    rows, _ = _draw_clicks(trace, det, config, generators([seed]))
-    n = config.n_trials
-    return [ClickRecord(t, n, c) for t, c in zip(config.transmittances, rows[0])]
+    (row,), _ = _draw_clicks(trace, det, config, [seed])
+    return [ClickRecord(t, config.n_trials, c) for t, c in zip(config.transmittances, row)]
 
 
 def _expected_dark(dark_rate, duration) -> int:
@@ -225,15 +226,15 @@ def perturbed_eta(config: ExperimentConfig, seed: int) -> float:
     eta_apd*(1 + Normal(0, eta_rel_uncertainty)), clipped to (0, 1].
     With zero uncertainty this is exactly eta_apd.
     """
+    return _draw_etas(config, [operator.index(seed)])[0]
+
+
+def _draw_etas(config, seeds):
+    """perturbed_eta's value per seed; eta_apd for each, nothing drawn, without eta noise."""
     if config.eta_rel_uncertainty == 0.0:
-        return config.eta_apd
-    return _draw_etas(config, generators([seed]))[0]
-
-
-def _draw_etas(config, rngs):
-    """perturbed_eta's value, one per Generator in ``rngs``."""
+        return [config.eta_apd] * len(seeds)
     return [
         float(min(max(config.eta_apd * (1.0 + rng.normal(0.0, config.eta_rel_uncertainty)),
                       _ETA_FLOOR), 1.0))
-        for rng in rngs
+        for rng in generators(seeds)
     ]

@@ -55,6 +55,16 @@ class TestDeriveSeed:
         assert seeds.dtype == np.uint64
         assert seeds.tolist() == [derive_seed(master, k) for k in range(n)]
 
+    @pytest.mark.parametrize("master", [np.int64(-1), np.uint64(2**64 - 1)])
+    def test_numpy_integer_master_is_its_int(self, master):
+        assert derive_seed(master, 5) == derive_seed(-1, 5) == derive_seed(2**64 - 1, 5)
+
+    def test_float_master_rejected(self):
+        with pytest.raises(TypeError):
+            derive_seed(3.0, 5)
+        with pytest.raises(TypeError):
+            run_ensemble(TRACE0, DET0, quick_config(), 2, seed=3.0)
+
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
 
@@ -181,7 +191,7 @@ def test_batched_runs_equal_serial_estimates(eta, overrides):
     res = run_ensemble(TRACE0, DET0, cfg, 40, seed=21)
     assert run_ensemble(TRACE0, DET0, cfg, 12, seed=21).runs == res.runs[:12]
     for j, run in enumerate(res.runs):
-        _, (t_true,) = _draw_clicks(TRACE0, DET0, cfg, generators([derive_seed(21, 2 * j)]))
+        _, (t_true,) = _draw_clicks(TRACE0, DET0, cfg, [derive_seed(21, 2 * j)])
         assert run.t_true == t_true
         records = simulate_run(TRACE0, DET0, cfg, derive_seed(21, 2 * j))
         if cfg.dark_rate > 0.0:
@@ -231,7 +241,7 @@ def test_sweep_streams_are_pinned():
         point_seed = derive_seed(2026, k)
         ends = [0, 199]
         rows, _ = _draw_clicks(TRACE0, DET0, replace(cfg, eta_apd=eta),
-                               generators([derive_seed(point_seed, 2 * j) for j in ends]))
+                               [derive_seed(point_seed, 2 * j) for j in ends])
         observed.append((
             g6(point.sigma_trace, point.sigma_det),
             [(j, point.runs[j].eta_assumed.hex(), tuple(t.hex() for t in point.runs[j].t_true),
@@ -240,6 +250,19 @@ def test_sweep_streams_are_pinned():
              for j, row in zip(ends, rows)],
         ))
     assert observed == golden
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3)], ids=["int64", "uint64"])
+@pytest.mark.parametrize("entry", ["run_ensemble", "eta_sweep", "state_sweep"])
+def test_numpy_integer_seed_runs_as_its_int(entry, seed):
+    cfg = quick_config(t_uncertainty=0.005, eta_rel_uncertainty=0.01)
+    call = {
+        "run_ensemble": lambda s: run_ensemble(TRACE0, DET0, cfg, 3, seed=s),
+        "eta_sweep": lambda s: eta_sweep(TRACE0, DET0, cfg, [0.2, 0.5], 3,
+                                         with_uncertainties=True, seed=s),
+        "state_sweep": lambda s: state_sweep([(TRACE0, DET0), (2.0, 1.0)], cfg, 3, seed=s),
+    }[entry]
+    assert call(seed) == call(3)
 
 
 def test_edge_passes_per_solve_on_criterion_5_data(monkeypatch):

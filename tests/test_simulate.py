@@ -242,6 +242,14 @@ class TestPerturbedEta:
         cfg = small_config(eta_apd=0.37)
         assert perturbed_eta(cfg, seed=5) == 0.37
 
+    @pytest.mark.parametrize("seed", [2.5, "x"])
+    @pytest.mark.parametrize("eta_rel_uncertainty", [0.0, 0.01], ids=["exact", "noisy"])
+    def test_non_integer_seed_rejected(self, eta_rel_uncertainty, seed):
+        # with or without eta noise, so a seed is checked even when nothing is drawn
+        cfg = small_config(eta_rel_uncertainty=eta_rel_uncertainty)
+        with pytest.raises(TypeError):
+            perturbed_eta(cfg, seed)
+
     def test_sample_spread_matches_relative_uncertainty(self):
         cfg = small_config(eta_apd=0.5, eta_rel_uncertainty=0.01)
         values = np.array([perturbed_eta(cfg, seed) for seed in range(10_000)])
