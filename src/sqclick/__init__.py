@@ -22,8 +22,8 @@ _EXPORTS = {
         "no_click_from_invariants", "click_probability_from_invariants",
         "gain_bounds_from_trace", "check_physicality", "invert_two_point", "sensitivity",
         "expected_click_rate", "classical_estimate", "homodyne_correct", "estimate_eta"),
-    "simulate": ("ExperimentConfig", "ClickRecord", "simulate_run", "subtract_dark",
-                 "perturbed_eta", "derive_seed"),
+    "simulate": ("ExperimentConfig", "simulate_run", "perturbed_eta", "derive_seed"),
+    "tables": ("ClickRecord", "subtract_dark"),
     "estimate": ("Estimate", "log_likelihood", "likelihood_grid", "ml_estimate"),
     "modes": ("mode_count_fit",),
     "ensemble": ("EnsembleResult", "RunResult", "run_ensemble", "eta_sweep", "state_sweep"),

@@ -7,7 +7,8 @@ stdout would carry without ``--output``.  Stdout carries the plain
 content, so repeated runs with the same seed are byte-identical.
 
 Each command imports the modules it runs and builds the manifest only for a file:
-``invert``, ``modefit`` and ``--help`` load no numpy, dataclasses or ``simulate``.
+``invert``, ``modefit`` and ``--help`` load no numpy, and only ``simulate`` and
+``sweep`` load dataclasses or ``simulate``.  ``sweep`` checks every point first.
 """
 
 import argparse
@@ -37,6 +38,7 @@ from .tables import (
     read_click_records,
     read_key_values,
     read_mode_samples,
+    subtract_dark,
     write_click_records,
     write_run_details,
     write_sweep,
@@ -124,7 +126,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     from .estimate import ml_estimate
-    from .simulate import subtract_dark
 
     records = read_click_records(args.data)
     if args.dark_rate != 0.0 or args.duration is not None:
@@ -142,6 +143,7 @@ def cmd_sweep(args) -> int:
     from dataclasses import replace
 
     from .ensemble import _sweep
+    from .estimate import _check_etas
 
     mapping = read_key_values(args.config)
     config = config_from_mapping(mapping)
@@ -152,8 +154,10 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"{args.mode} sweep config requires key '{key}'")
     if args.mode == "eta":
         etas = _parse_float_list(mapping["etas"], "etas")
-        try:  # each value is a sweep point's eta_apd, under its rule
+        try:  # each value is a point's eta_apd and, without eta noise, its assumed eta
             configs = [replace(config, eta_apd=eta) for eta in etas]
+            if config.eta_rel_uncertainty == 0.0:
+                _check_etas(etas)
         except ValueError as exc:
             raise ConfigError(f"config key 'etas': {exc}") from exc
         if not configs:
@@ -162,6 +166,8 @@ def cmd_sweep(args) -> int:
         points = [(trace, det, point_config) for point_config in configs]
     else:
         points = [(trace, det, config) for trace, det in parse_states(mapping["states"])]
+    for trace, det, _ in points:  # every point is checked before any runs
+        _require_physical(trace, det)
     results = _sweep(points, args.runs, args.seed)
     return _emit(args, lambda fh, manifest: write_sweep(fh, results, manifest),
                  write_details=lambda fh, manifest: write_run_details(fh, results, manifest))

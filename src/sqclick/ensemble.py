@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimate import _check_etas, _ml_solve, ml_estimate  # noqa: F401  (ml_estimate: bench/ patches it here)
-from .simulate import ExperimentConfig, _draw_clicks, _draw_etas, _expected_dark, derive_seed
+from .simulate import ExperimentConfig, _draw_clicks, _draw_etas, derive_seed
+from .tables import _expected_dark
 
 
 class RunResult(NamedTuple):

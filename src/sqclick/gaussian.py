@@ -143,20 +143,24 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
 
     The variances are the roots of lambda^2 - trace*lambda + det = 0:
     vmax = (trace + sqrt(trace^2 - 4*det))/2, vmin = det/vmax (no cancellation
-    at large trace).  A discriminant in [-PHYS_TOL, 0) is clamped to zero;
-    anything more negative means (trace, det) cannot come from a real matrix.
-    On the thermal edge det = (trace/2)^2, det/vmax can round above vmax;
-    vmin is capped at vmax, which is exact there since vmin = vmax.
+    at large trace).  The checks are check_physicality's, one message per
+    bound: a det up to PHYS_TOL above (trace/2)^2 has its negative
+    discriminant clamped to zero.  So the record is built unchecked, as its
+    own Heisenberg check would refuse det/vmax*vmax rounding an ulp below
+    1 - PHYS_TOL.  On the thermal edge det = (trace/2)^2, det/vmax can round
+    above vmax; vmin is capped at vmax, which is exact there since vmin = vmax.
     """
     if not det >= 1.0 - PHYS_TOL:
         raise UnphysicalStateError(f"det = {det} violates det >= 1")
     disc = trace * trace - 4.0 * det
-    if not disc >= -PHYS_TOL:
+    if not det <= 0.25 * trace * trace + PHYS_TOL:
         raise UnphysicalStateError(
             f"trace^2 - 4*det = {disc} < 0: no real quadrature variances"
         )
+    if not trace > 0.0:
+        raise UnphysicalStateError(f"trace = {trace} is not positive")
     vmax = 0.5 * (trace + math.sqrt(max(disc, 0.0)))
-    return QuadratureVariances(vmin=min(det / vmax, vmax), vmax=vmax)
+    return tuple.__new__(QuadratureVariances, (min(det / vmax, vmax), vmax))
 
 
 def purity_from_h(h: float) -> float:
@@ -299,8 +303,8 @@ def gain_bounds_from_trace(trace: float) -> tuple[float, float]:
 
 
 def check_physicality(trace: float, det: float) -> bool:
-    """True iff 1 <= det <= (trace/2)^2 within PHYS_TOL; elementwise on numpy arrays."""
-    return (det >= 1.0 - PHYS_TOL) & (det <= 0.25 * trace * trace + PHYS_TOL)
+    """True iff 1 <= det <= (trace/2)^2 within PHYS_TOL, trace > 0; elementwise on arrays."""
+    return (det >= 1.0 - PHYS_TOL) & (det <= 0.25 * trace * trace + PHYS_TOL) & (trace > 0.0)
 
 
 def _require_physical(trace, det):

@@ -8,7 +8,7 @@ setting differs from its nominal value by a normal perturbation drawn
 once per run, and the efficiency value handed to the estimator carries a
 relative error (``perturbed_eta``).  Dark counts are an independent
 Poisson stream.  The click probabilities come from ``gaussian``; this
-module only draws.  ``ClickRecord`` is a validating namedtuple; the config
+module only draws, and builds ``tables.ClickRecord`` rows.  The config
 stays a frozen dataclass, as ``dataclasses.replace`` re-runs its checks.
 
 This module owns the streams: seed s drives PCG64 seeded with the four
@@ -19,17 +19,14 @@ draw helpers call on the seeds they take; ``_draw_etas`` holds the no-noise rule
 
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import _ETA_FLOOR, _click_probability, _require_physical
+from .tables import _MAX_TRIALS, ClickRecord, subtract_dark  # noqa: F401  (subtract_dark: bench/ calls it here)
 
-# numpy draws binomials with an int64 trial count, and Poisson counts with a
-# mean of at most its int64 maximum less 10 standard deviations.
-_MAX_TRIALS = 2**63 - 1
-_MAX_DARK = _MAX_TRIALS - 10.0 * math.sqrt(_MAX_TRIALS)
+_MAX_DARK = _MAX_TRIALS - 10.0 * math.sqrt(_MAX_TRIALS)  # numpy's largest Poisson mean
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -48,7 +45,7 @@ def derive_seed(master, index):
     return z ^ (z >> 31)
 
 
-class SeedState:
+class SeedState(np.random.bit_generator.ISeedSequence):  # loads numpy.random
     """Four precomputed uint64 seed words in SeedSequence's place.
 
     PCG64 asks for exactly (4, uint64); any other request means numpy seeds
@@ -69,14 +66,12 @@ def generators(seeds):
     """An iterator of a Generator per seed s, PCG64 seeded with derive_seed(s, 0..3).
 
     A list of ints gets its words from Python ints (cheaper for a few seeds), a
-    uint64 array from one array pass.  SeedState is registered as numpy's
-    ISeedSequence here, not at import, so that importing loads no numpy.random.
+    uint64 array from one array pass.
     """
     if isinstance(seeds, np.ndarray):
         words = derive_seed(seeds[:, None], np.arange(4, dtype=np.uint64))
     else:
         words = np.array([[derive_seed(s, k) for k in range(4)] for s in seeds], np.uint64)
-    np.random.bit_generator.ISeedSequence.register(SeedState)
     return (np.random.Generator(np.random.PCG64(SeedState(w))) for w in words)
 
 
@@ -137,26 +132,6 @@ class ExperimentConfig:
         return int(round(self.rep_rate * self.duration))
 
 
-class ClickRecord(namedtuple("ClickRecord", "t_nominal trials clicks dark_subtracted")):
-    """Click total for one beamsplitter setting.
-
-    t_nominal is the transmittance the experimenter believes; the data may
-    have been generated at a slightly different true value.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, t_nominal, trials, clicks, dark_subtracted=False):
-        self = tuple.__new__(cls, (t_nominal, trials, clicks, dark_subtracted))
-        if not 0.0 <= self.t_nominal <= 1.0:
-            raise ValueError(f"t_nominal = {self.t_nominal} outside [0, 1]")
-        if self.trials > _MAX_TRIALS:
-            raise ValueError(f"trials exceeds {_MAX_TRIALS}, the largest count numpy can draw")
-        if not 0 <= self.clicks <= self.trials:
-            raise ValueError(f"clicks = {self.clicks} outside [0, trials = {self.trials}]")
-        return self
-
-
 def _draw_clicks(trace, det, config, seeds):
     """Click totals and true transmittances of one run per seed in ``seeds``.
 
@@ -199,25 +174,6 @@ def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) 
     """
     (row,), _ = _draw_clicks(trace, det, config, [seed])
     return [ClickRecord(t, config.n_trials, c) for t, c in zip(config.transmittances, row)]
-
-
-def _expected_dark(dark_rate, duration) -> int:
-    """Dark counts expected in one setting's acquisition, rounded to a count."""
-    return int(round(dark_rate * duration))
-
-
-def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> ClickRecord:
-    """Remove the expected dark-count total, flooring at zero clicks."""
-    if not (dark_rate >= 0.0 and duration > 0.0 and math.isfinite(dark_rate * duration)):
-        raise ValueError(f"need dark_rate >= 0 and duration > 0 with a finite product, "
-                         f"got dark_rate = {dark_rate}, duration = {duration}")
-    if record.dark_subtracted:
-        raise ValueError("dark counts already subtracted from this record")
-    if dark_rate * duration > record.trials:
-        raise ValueError(f"dark_rate * duration = {dark_rate * duration} expected dark counts "
-                         f"exceed the record's {record.trials} trials")
-    clicks = max(0, record.clicks - _expected_dark(dark_rate, duration))
-    return ClickRecord(record.t_nominal, record.trials, clicks, dark_subtracted=True)
 
 
 def perturbed_eta(config: ExperimentConfig, seed: int) -> float:

@@ -6,17 +6,61 @@ manifest block; each writer names its columns once, and that list gives the
 header and picks each row's values from the records' ``_asdict()``.  Records
 are 'key = value' lines from one formatter (bools as true/false).  Readers
 skip '#' lines, so any file written here round-trips through its reader.
-The ``simulate`` records are imported only where they are built.
+Config files take only the known keys, each once.  The click table's row,
+``ClickRecord``, and its dark correction live here, so analysing a measured
+table needs no simulator; ``simulate``'s config is imported where it is built.
 """
 
+import math
 import numbers
 import time
+from collections import namedtuple
 
 FMT = "%.12g"
+_MAX_TRIALS = 2**63 - 1  # numpy draws binomials with an int64 trial count
 
 
 class ConfigError(ValueError):
     """Malformed config or data file."""
+
+
+class ClickRecord(namedtuple("ClickRecord", "t_nominal trials clicks dark_subtracted")):
+    """Click total for one beamsplitter setting.
+
+    t_nominal is the transmittance the experimenter believes; the data may
+    have been generated at a slightly different true value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t_nominal, trials, clicks, dark_subtracted=False):
+        self = tuple.__new__(cls, (t_nominal, trials, clicks, dark_subtracted))
+        if not 0.0 <= self.t_nominal <= 1.0:
+            raise ValueError(f"t_nominal = {self.t_nominal} outside [0, 1]")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"trials exceeds {_MAX_TRIALS}, the largest count numpy can draw")
+        if not 0 <= self.clicks <= self.trials:
+            raise ValueError(f"clicks = {self.clicks} outside [0, trials = {self.trials}]")
+        return self
+
+
+def _expected_dark(dark_rate, duration) -> int:
+    """Dark counts expected in one setting's acquisition, rounded to a count."""
+    return int(round(dark_rate * duration))
+
+
+def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> ClickRecord:
+    """Remove the expected dark-count total, flooring at zero clicks."""
+    if not (dark_rate >= 0.0 and duration > 0.0 and math.isfinite(dark_rate * duration)):
+        raise ValueError(f"need dark_rate >= 0 and duration > 0 with a finite product, "
+                         f"got dark_rate = {dark_rate}, duration = {duration}")
+    if record.dark_subtracted:
+        raise ValueError("dark counts already subtracted from this record")
+    if dark_rate * duration > record.trials:
+        raise ValueError(f"dark_rate * duration = {dark_rate * duration} expected dark counts "
+                         f"exceed the record's {record.trials} trials")
+    clicks = max(0, record.clicks - _expected_dark(dark_rate, duration))
+    return ClickRecord(record.t_nominal, record.trials, clicks, dark_subtracted=True)
 
 
 def fmt(x) -> str:
@@ -69,14 +113,20 @@ def _write_table(fh, manifest, columns, rows):
 
 
 def read_key_values(path) -> dict:
-    """Parse a 'key = value' file; '#' starts a comment, blank lines ignored."""
+    """Parse a 'key = value' file; '#' starts a comment, blank lines ignored,
+    a key given twice refused."""
+    mapping = {}
+
     def pair(line, raw):
-        key, eq, value = line.split("#", 1)[0].partition("=")
+        key, eq, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
         if not eq:
             raise ValueError(f"expected 'key = value', got {raw!r}")
-        return key.strip(), value.strip()
+        if key in mapping:
+            raise ValueError(f"key '{key}' given twice")
+        mapping[key] = value
 
-    return dict(_read_rows(path, pair))
+    _read_rows(path, pair)
+    return mapping
 
 
 def _parse_float(mapping, key, default=None):
@@ -97,14 +147,24 @@ def _parse_float_list(text, where):
         raise ConfigError(f"{where}: {text!r} is not a list of numbers") from exc
 
 
+_CONFIG_KEYS = ("rep_rate_hz", "duration_s", "transmittances", "eta_apd", "dark_rate_hz",
+                "t_uncertainty", "eta_rel_uncertainty", "state_trace", "state_det", "etas",
+                "states")
+
+
 def config_from_mapping(mapping: dict):
     """Build an ExperimentConfig from parsed key-value pairs.
 
     Required keys: rep_rate_hz, duration_s, transmittances, eta_apd.
     Optional: dark_rate_hz, t_uncertainty, eta_rel_uncertainty (default 0).
+    The sweep's keys are allowed too, as one file serves both; any other
+    key, a misspelling most likely, is refused.
     """
     from .simulate import ExperimentConfig
 
+    for key in mapping:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key '{key}'; known keys: {', '.join(_CONFIG_KEYS)}")
     if "transmittances" not in mapping:
         raise ConfigError("missing required config key 'transmittances'")
     try:
@@ -148,8 +208,6 @@ def write_click_records(fh, records, manifest: list):
 
 def read_click_records(path) -> list:
     """Read a click table; comment lines and the header row are skipped."""
-    from .simulate import ClickRecord
-
     def record(line, _raw):
         parts = line.split(",")
         if len(parts) != 4:

@@ -10,6 +10,7 @@ import pytest
 
 import sqclick
 from sqclick import (
+    ensemble,
     estimate,
     gain_bounds_from_trace,
     modes,
@@ -106,6 +107,14 @@ class TestInvert:
         assert rec["physical"] == "false"
         assert float(rec["det"]) < 1.0
         assert "warning" in out
+
+    def test_negative_trace_is_unphysical(self, capsys):
+        # u1 = 4/0.09 - 4 at t1 = 1 with no clicks at t2 = 0.5 solves to
+        # trace = 2 - u1/2 < 0 with det <= (trace/2)^2
+        assert main(["invert", "--t1", "1", "--p1", "0.3", "--t2", "0.5", "--p2", "1"]) == 0
+        rec = record_dict(capsys.readouterr().out)
+        assert rec["physical"] == "false"
+        assert float(rec["trace"]) < 0.0
 
     def test_eta_folds_into_transmittances(self, capsys):
         p1 = no_click_from_invariants(TRACE0, DET0, 0.5 * 0.5)
@@ -250,6 +259,12 @@ class TestSimulate:
              "--det", "6.088495553519368e+22"]
         ) == 0
 
+    def test_state_within_phys_tol_above_the_thermal_edge_is_accepted(self, base_config, capsys):
+        # check_physicality's tolerance: det may exceed (trace/2)^2 by PHYS_TOL
+        assert main(
+            ["simulate", "--config", base_config, "--trace", "4", "--det", "4.0000000005"]
+        ) == 0
+
     def test_unphysical_state_exit_code(self, base_config):
         assert main(
             ["simulate", "--config", base_config, "--trace", "2", "--det", "1.5", "--seed", "1"]
@@ -292,6 +307,22 @@ class TestSimulate:
             ["simulate", "--config", str(path), "--trace", "2.5", "--det", "1", "--seed", "1"]
         ) == 2
         assert "is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("dark_rate = 300", "unknown config key 'dark_rate'"),
+         ("eta_apd = 0.25", "bad.cfg:6: key 'eta_apd' given twice")],
+        ids=["misspelled", "repeated"],
+    )
+    def test_unknown_or_repeated_config_key_exit_code(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG + line + "\n")
+        assert main(
+            ["simulate", "--config", str(path), "--trace", "2.5", "--det", "1", "--seed", "1"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_unrepresentable_pulse_count_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -598,6 +629,35 @@ class TestSweep:
             ["sweep", "--config", str(path), "--mode", "eta", "--seed", "1", "--runs", "2"]
         ) == 2
         assert "dark_rate_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, old, new, code, message",
+        [("eta", "etas = 0.3, 0.6", "etas = 0.3, 0", 2,
+          "config key 'etas': eta_assumed = 0.0 outside (0, 1]"),
+         ("eta", "etas = 0.3, 0.6", "etas = 0.3, 1e-13", 2,
+          "config key 'etas': eta_assumed = 1e-13 below the efficiency floor"),
+         ("state", "2.5,1.2", "2,1.5", 3, "(trace, det) = (2.0, 1.5) is unphysical")],
+        ids=["eta-zero", "eta-below-floor", "unphysical-state"],
+    )
+    def test_every_point_is_checked_before_any_runs(self, tmp_path, capsys, monkeypatch, mode,
+                                                    old, new, code, message):
+        calls = []
+        monkeypatch.setattr(ensemble, "run_ensemble", lambda *args: calls.append(args))
+        path = tmp_path / "bad.cfg"
+        path.write_text(SWEEP_CONFIG.replace(old, new))
+        assert main(["sweep", "--config", str(path), "--mode", mode, "--seed", "1", "--runs",
+                     "2", "--exact-knowledge"]) == code
+        assert message in capsys.readouterr().err
+        assert calls == []
+
+    def test_zero_eta_with_efficiency_noise_runs(self, tmp_path, capsys):
+        # the drawn efficiencies are clipped to the floor, so the point runs
+        path = tmp_path / "zero.cfg"
+        path.write_text(SWEEP_CONFIG.replace("etas = 0.3, 0.6", "etas = 0.3, 0"))
+        assert main(
+            ["sweep", "--config", str(path), "--mode", "eta", "--seed", "1", "--runs", "2"]
+        ) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_config_missing_sweep_keys(self, tmp_path):
         path = tmp_path / "bare.cfg"

@@ -11,6 +11,7 @@ from sqclick import (
     CovarianceMatrix,
     EnsembleResult,
     Estimate,
+    PHYS_TOL,
     QuadratureVariances,
     SqueezerParams,
     UnphysicalStateError,
@@ -228,6 +229,19 @@ class TestVariancesFromInvariants:
             variances_from_invariants(2.0, 1.5)  # trace^2 < 4 det
         with pytest.raises(UnphysicalStateError):
             variances_from_invariants(2.321, 0.9)  # det < 1
+
+    @pytest.mark.parametrize("trace", [2.0 - 2e-9, 2.0, 2.321, 4.0, 1e3, -4.0])
+    def test_refused_exactly_where_check_physicality_fails(self, trace):
+        # points within a few PHYS_TOL of both edges, det = 1 and det = (trace/2)^2
+        for edge in (1.0, 0.25 * trace * trace):
+            for det in edge + PHYS_TOL * np.linspace(-3.0, 3.0, 49):
+                physical = check_physicality(trace, float(det))
+                try:
+                    variances_from_invariants(trace, float(det))
+                except UnphysicalStateError:
+                    assert not physical, (trace, det)
+                else:
+                    assert physical, (trace, det)
 
     def test_large_trace_keeps_heisenberg_product(self):
         # trace - sqrt(trace^2 - 4) cancels; vmin must come out as det/vmax
@@ -448,6 +462,7 @@ class TestCheckPhysicality:
             (TRACE0, 0.9, False),
             (2.0, 1.5, False),
             (2.0, 1.0 + 1e-12, True),  # tolerance absorbs rounding
+            (-4.0, 4.0, False),  # a covariance matrix has a positive trace
         ],
     )
     def test_cases(self, trace, det, ok):

@@ -12,14 +12,14 @@ from pathlib import Path
 import pytest
 
 import sqclick
-from sqclick import gaussian, modes
+from sqclick import gaussian, modes, simulate, tables
 
 from test_cli import command_argv
 
 SRC = str(Path(sqclick.__file__).resolve().parents[1])
 
 # What the numpy-free commands start without: dataclasses brings inspect, ast,
-# dis and tokenize; sqclick.simulate only holds the record types of other commands.
+# dis and tokenize; sqclick.simulate is the simulator, which only simulate and sweep run.
 STARTUP_FREE = ["dataclasses", "inspect", "datetime", "sqclick.simulate"]
 
 
@@ -37,7 +37,7 @@ def fresh_python(code, *args):
         ("import", ["numpy", *STARTUP_FREE], 0),
         ("help", ["numpy", *STARTUP_FREE], 0),
         ("invert", ["numpy", *STARTUP_FREE], 0),
-        ("estimate", ["sqclick.ensemble", "numpy.random"], 0),
+        ("estimate", ["sqclick.ensemble", "sqclick.simulate", "numpy.random", "dataclasses"], 0),
         ("modefit", ["numpy", "sqclick.estimate", "sqclick.ensemble", *STARTUP_FREE], 0),
         ("modefit-overflow", ["numpy", "sqclick.estimate", "sqclick.ensemble", *STARTUP_FREE], 3),
         ("simulate", ["sqclick.ensemble", "sqclick.estimate"], 0),
@@ -73,6 +73,14 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
     assert fresh_python(code).strip() == "False []"
 
 
+def test_click_record_and_dark_correction_load_no_numpy():
+    # both live in tables, the text layer, and need nothing of the simulator
+    code = ("import sys, sqclick\n"
+            "sqclick.ClickRecord, sqclick.subtract_dark\n"
+            "print([m for m in ('numpy', 'sqclick.simulate') if m in sys.modules])\n")
+    assert fresh_python(code).strip() == "[]"
+
+
 def test_star_import_binds_every_public_name():
     code = ("import sqclick\n"
             "names = {}\n"
@@ -105,18 +113,22 @@ def test_moved_names_keep_their_old_import_path():
     assert sqclick.mode_count_fit is modes.mode_count_fit
     assert sqclick.invert_two_point is gaussian.invert_two_point
     assert sqclick.EstimationError is estimate.EstimationError
+    for name in ("ClickRecord", "subtract_dark"):
+        assert getattr(simulate, name) is getattr(tables, name)
 
 
 @pytest.mark.parametrize(
-    "module, unloaded",
-    [("gaussian", ["numpy", "dataclasses"]), ("estimate", ["dataclasses"]), ("simulate", [])],
-    ids=["gaussian", "estimate", "simulate"],
+    "module, uses, unloaded",
+    [("gaussian", [], ["numpy", "dataclasses"]), ("estimate", ["gaussian"], ["dataclasses"]),
+     ("simulate", ["gaussian", "tables"], []), ("tables", [], ["numpy", "dataclasses"])],
+    ids=["gaussian", "estimate", "simulate", "tables"],
 )
-def test_layers_load_only_gaussian_from_the_package(module, unloaded):
+def test_layers_load_only_gaussian_from_the_package(module, uses, unloaded):
     # gaussian, numpy- and dataclass-free, holds every closed form; inference
-    # (estimate, dataclass-free too) and the draws (simulate) each sit on it alone
+    # (estimate, dataclass-free too) sits on it alone, and the draws (simulate)
+    # on it and on tables, the numpy-free text layer that owns the click record
     code = (f"import sys, sqclick.{module}\n"
             "print(sorted(m for m in sys.modules if m.startswith('sqclick.')),\n"
             f"      [m for m in {unloaded!r} if m in sys.modules])\n")
-    loaded = sorted({"sqclick.gaussian", f"sqclick.{module}"})
+    loaded = sorted({f"sqclick.{m}" for m in [module, *uses]})
     assert fresh_python(code).strip() == f"{loaded} []"
