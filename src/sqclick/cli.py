@@ -12,6 +12,7 @@ Each command imports the modules it runs and builds the manifest only for a file
 """
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -26,6 +27,7 @@ from .gaussian import (
     trace_det_from_squeezer,
 )
 from .tables import (
+    _SWEEP_KEYS,
     ConfigError,
     _key_value_lines,
     _parse_float,
@@ -109,8 +111,12 @@ def cmd_invert(args) -> int:
     if physical:
         lines += _key_value_lines(**_state_summary(trace, det))
     else:
-        lines.append("warning = unphysical result: 1 <= det <= (trace/2)^2 violated; "
-                     "derived quantities omitted")
+        rule = "1 <= det <= (trace/2)^2"
+        if not trace > 0.0:
+            rule += " and trace > 0"
+        elif not trace * trace < math.inf:
+            rule += " and a finite trace^2"
+        lines.append(f"warning = unphysical result: {rule} violated; derived quantities omitted")
     return _emit(args, _lines(lines))
 
 
@@ -142,22 +148,21 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     from dataclasses import replace
 
-    from .ensemble import _sweep
-    from .estimate import _check_etas
+    from .ensemble import _check_assumed_etas, _sweep
 
     mapping = read_key_values(args.config)
     config = config_from_mapping(mapping)
     if args.exact_knowledge:
         config = replace(config, t_uncertainty=0.0, eta_rel_uncertainty=0.0)
-    for key in ("state_trace", "state_det", "etas") if args.mode == "eta" else ("states",):
+    for key in _SWEEP_KEYS[args.mode]:
         if key not in mapping:
             raise ConfigError(f"{args.mode} sweep config requires key '{key}'")
     if args.mode == "eta":
         etas = _parse_float_list(mapping["etas"], "etas")
-        try:  # each value is a point's eta_apd and, without eta noise, its assumed eta
+        try:  # each value is a point's eta_apd: an eta the runs would refuse is the list's
             configs = [replace(config, eta_apd=eta) for eta in etas]
-            if config.eta_rel_uncertainty == 0.0:
-                _check_etas(etas)
+            for point_config in configs:
+                _check_assumed_etas(point_config)
         except ValueError as exc:
             raise ConfigError(f"config key 'etas': {exc}") from exc
         if not configs:
@@ -166,8 +171,6 @@ def cmd_sweep(args) -> int:
         points = [(trace, det, point_config) for point_config in configs]
     else:
         points = [(trace, det, config) for trace, det in parse_states(mapping["states"])]
-    for trace, det, _ in points:  # every point is checked before any runs
-        _require_physical(trace, det)
     results = _sweep(points, args.runs, args.seed)
     return _emit(args, lambda fh, manifest: write_sweep(fh, results, manifest),
                  write_details=lambda fh, manifest: write_run_details(fh, results, manifest))

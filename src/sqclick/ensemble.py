@@ -13,7 +13,8 @@ numpy's included, taken mod 2**64.  An ensemble hands its seeds, built in
 one array pass, to ``simulate``'s draw helpers, which build the Generators
 and hold the no-noise rule, so run k draws exactly what ``simulate_run``
 and ``perturbed_eta`` draw from its two seeds, however runs are scheduled.
-Like ``ml_estimate``, an ensemble rejects an assumed efficiency below 1e-12.
+Like ``ml_estimate``, an ensemble rejects an assumed efficiency below 1e-12,
+and a sweep checks every point before it runs any.
 """
 
 import math
@@ -23,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimate import _check_etas, _ml_solve, ml_estimate  # noqa: F401  (ml_estimate: bench/ patches it here)
+from .gaussian import _require_physical
 from .simulate import ExperimentConfig, _draw_clicks, _draw_etas, derive_seed
 from .tables import _expected_dark
 
@@ -134,8 +136,21 @@ def state_sweep(
     return _sweep(((trace, det, config) for trace, det in states), n_runs, seed)
 
 
+def _check_assumed_etas(config):
+    """Raise ValueError where run_ensemble would refuse the config's assumed
+    efficiencies.  ``_draw_etas`` decides: without eta noise they are eta_apd,
+    with it a draw clipped to the floor, which always passes."""
+    _check_etas(_draw_etas(config, [0]))
+
+
 def _sweep(points, n_runs, seed):
     """One ensemble per (trace_true, det_true, config) point, point k seeded by
-    ``derive_seed(seed, k)``; ``run_ensemble`` is looked up at each call."""
+    ``derive_seed(seed, k)``; ``run_ensemble`` is looked up at each call.
+    Every point is checked first, so a point that would be refused stops the
+    sweep before any runs."""
+    points = list(points)
+    for trace, det, config in points:
+        _require_physical(trace, det)
+        _check_assumed_etas(config)
     return [run_ensemble(trace, det, config, n_runs, derive_seed(seed, k))
             for k, (trace, det, config) in enumerate(points)]

@@ -145,10 +145,12 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
     vmax = (trace + sqrt(trace^2 - 4*det))/2, vmin = det/vmax (no cancellation
     at large trace).  The checks are check_physicality's, one message per
     bound: a det up to PHYS_TOL above (trace/2)^2 has its negative
-    discriminant clamped to zero.  So the record is built unchecked, as its
-    own Heisenberg check would refuse det/vmax*vmax rounding an ulp below
-    1 - PHYS_TOL.  On the thermal edge det = (trace/2)^2, det/vmax can round
-    above vmax; vmin is capped at vmax, which is exact there since vmin = vmax.
+    discriminant clamped to zero, and a trace whose square overflows gives
+    vmin = 0 or vmax = inf, refused as the record would.  The record is
+    built past its own checks, whose Heisenberg bound would refuse
+    det/vmax*vmax rounding an ulp below 1 - PHYS_TOL.  On the thermal edge
+    det = (trace/2)^2, det/vmax can round above vmax; vmin is capped at
+    vmax, which is exact there since vmin = vmax.
     """
     if not det >= 1.0 - PHYS_TOL:
         raise UnphysicalStateError(f"det = {det} violates det >= 1")
@@ -160,7 +162,10 @@ def variances_from_invariants(trace: float, det: float) -> QuadratureVariances:
     if not trace > 0.0:
         raise UnphysicalStateError(f"trace = {trace} is not positive")
     vmax = 0.5 * (trace + math.sqrt(max(disc, 0.0)))
-    return tuple.__new__(QuadratureVariances, (min(det / vmax, vmax), vmax))
+    vmin = min(det / vmax, vmax)
+    if not (0.0 < vmin and vmax < math.inf):
+        raise UnphysicalStateError(f"need 0 < vmin <= vmax, got ({vmin}, {vmax})")
+    return tuple.__new__(QuadratureVariances, (vmin, vmax))
 
 
 def purity_from_h(h: float) -> float:
@@ -303,8 +308,10 @@ def gain_bounds_from_trace(trace: float) -> tuple[float, float]:
 
 
 def check_physicality(trace: float, det: float) -> bool:
-    """True iff 1 <= det <= (trace/2)^2 within PHYS_TOL, trace > 0; elementwise on arrays."""
-    return (det >= 1.0 - PHYS_TOL) & (det <= 0.25 * trace * trace + PHYS_TOL) & (trace > 0.0)
+    """True iff 1 <= det <= (trace/2)^2 within PHYS_TOL, trace > 0 and trace^2 is
+    finite (else the variances are not); elementwise on arrays."""
+    return ((det >= 1.0 - PHYS_TOL) & (det <= 0.25 * trace * trace + PHYS_TOL)
+            & (trace > 0.0) & (trace * trace < math.inf))
 
 
 def _require_physical(trace, det):

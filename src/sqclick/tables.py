@@ -147,9 +147,7 @@ def _parse_float_list(text, where):
         raise ConfigError(f"{where}: {text!r} is not a list of numbers") from exc
 
 
-_CONFIG_KEYS = ("rep_rate_hz", "duration_s", "transmittances", "eta_apd", "dark_rate_hz",
-                "t_uncertainty", "eta_rel_uncertainty", "state_trace", "state_det", "etas",
-                "states")
+_SWEEP_KEYS = {"eta": ("state_trace", "state_det", "etas"), "state": ("states",)}
 
 
 def config_from_mapping(mapping: dict):
@@ -157,32 +155,40 @@ def config_from_mapping(mapping: dict):
 
     Required keys: rep_rate_hz, duration_s, transmittances, eta_apd.
     Optional: dark_rate_hz, t_uncertainty, eta_rel_uncertainty (default 0).
-    The sweep's keys are allowed too, as one file serves both; any other
-    key, a misspelling most likely, is refused.
+    The sweep's keys (_SWEEP_KEYS, by mode) are allowed too, as one file
+    serves both; any other key, a misspelling most likely, is refused.
     """
     from .simulate import ExperimentConfig
 
-    for key in mapping:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key '{key}'; known keys: {', '.join(_CONFIG_KEYS)}")
+    unread = dict(mapping)
+
+    def number(key, default=None):
+        value = _parse_float(unread, key, default)
+        unread.pop(key, None)
+        return value
+
     if "transmittances" not in mapping:
         raise ConfigError("missing required config key 'transmittances'")
     try:
-        return ExperimentConfig(
-            rep_rate=_parse_float(mapping, "rep_rate_hz"),
-            duration=_parse_float(mapping, "duration_s"),
+        config = ExperimentConfig(
+            rep_rate=number("rep_rate_hz"),
+            duration=number("duration_s"),
             transmittances=tuple(
-                _parse_float_list(mapping["transmittances"], "transmittances")
+                _parse_float_list(unread.pop("transmittances"), "transmittances")
             ),
-            eta_apd=_parse_float(mapping, "eta_apd"),
-            dark_rate=_parse_float(mapping, "dark_rate_hz", 0.0),
-            t_uncertainty=_parse_float(mapping, "t_uncertainty", 0.0),
-            eta_rel_uncertainty=_parse_float(mapping, "eta_rel_uncertainty", 0.0),
+            eta_apd=number("eta_apd"),
+            dark_rate=number("dark_rate_hz", 0.0),
+            t_uncertainty=number("t_uncertainty", 0.0),
+            eta_rel_uncertainty=number("eta_rel_uncertainty", 0.0),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+    for key in unread:
+        if not any(key in keys for keys in _SWEEP_KEYS.values()):
+            raise ConfigError(f"unknown config key '{key}'")
+    return config
 
 
 def parse_states(text: str) -> list:

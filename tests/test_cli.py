@@ -115,6 +115,17 @@ class TestInvert:
         rec = record_dict(capsys.readouterr().out)
         assert rec["physical"] == "false"
         assert float(rec["trace"]) < 0.0
+        assert rec["warning"] == ("unphysical result: 1 <= det <= (trace/2)^2 and trace > 0 "
+                                  "violated; derived quantities omitted")
+
+    def test_trace_whose_square_overflows_is_unphysical(self, capsys):
+        # u1 = 4e160, u2 = 2.04e160 solve to trace ~ 2e160 with det ~ 2e160
+        assert main(["invert", "--t1", "1", "--p1", "1e-80", "--t2", "0.5", "--p2", "1.4e-80"]) == 0
+        rec = record_dict(capsys.readouterr().out)
+        assert rec["physical"] == "false"
+        assert 1.0 < float(rec["det"]) < float(rec["trace"]) < math.inf
+        assert rec["warning"] == ("unphysical result: 1 <= det <= (trace/2)^2 and a finite "
+                                  "trace^2 violated; derived quantities omitted")
 
     def test_eta_folds_into_transmittances(self, capsys):
         p1 = no_click_from_invariants(TRACE0, DET0, 0.5 * 0.5)
@@ -269,6 +280,11 @@ class TestSimulate:
         assert main(
             ["simulate", "--config", base_config, "--trace", "2", "--det", "1.5", "--seed", "1"]
         ) == 3
+
+    @pytest.mark.parametrize("trace", ["1e200", "inf"])
+    def test_trace_whose_square_overflows_exit_code(self, base_config, capsys, trace):
+        assert main(["simulate", "--config", base_config, "--trace", trace, "--det", "1"]) == 3
+        assert "is unphysical" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "state",

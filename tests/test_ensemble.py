@@ -310,6 +310,21 @@ def test_sweeps_call_run_ensemble_once_per_point_through_the_module(monkeypatch)
     assert len(calls) == 2 and all(r is c for r, c in zip(res, calls, strict=True))
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [(lambda cfg: eta_sweep(TRACE0, DET0, cfg, [0.3, 0.0], 2, False, seed=3),
+      "eta_assumed = 0.0 outside"),
+     (lambda cfg: state_sweep([(2.1, 1.05), (2.0, 1.5)], cfg, 2, seed=5), "is unphysical")],
+    ids=["eta_sweep", "state_sweep"],
+)
+def test_sweeps_check_every_point_before_any_runs(monkeypatch, sweep, message):
+    calls = []
+    monkeypatch.setattr(ensemble, "run_ensemble", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        sweep(quick_config())
+    assert calls == []
+
+
 class TestEtaSweep:
     def test_exact_knowledge_strips_uncertainties(self):
         cfg = quick_config(t_uncertainty=0.005, eta_rel_uncertainty=0.01)

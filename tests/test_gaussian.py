@@ -230,9 +230,10 @@ class TestVariancesFromInvariants:
         with pytest.raises(UnphysicalStateError):
             variances_from_invariants(2.321, 0.9)  # det < 1
 
-    @pytest.mark.parametrize("trace", [2.0 - 2e-9, 2.0, 2.321, 4.0, 1e3, -4.0])
+    @pytest.mark.parametrize("trace", [2.0 - 2e-9, 2.0, 2.321, 4.0, 1e3, -4.0, 1e200, math.inf])
     def test_refused_exactly_where_check_physicality_fails(self, trace):
-        # points within a few PHYS_TOL of both edges, det = 1 and det = (trace/2)^2
+        # points within a few PHYS_TOL of both edges, det = 1 and det = (trace/2)^2;
+        # a trace whose square overflows has no representable variances
         for edge in (1.0, 0.25 * trace * trace):
             for det in edge + PHYS_TOL * np.linspace(-3.0, 3.0, 49):
                 physical = check_physicality(trace, float(det))
