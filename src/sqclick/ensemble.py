@@ -26,7 +26,6 @@ import numpy as np
 from .estimate import _check_etas, _ml_solve, ml_estimate  # noqa: F401  (ml_estimate: bench/ patches it here)
 from .gaussian import _require_physical
 from .simulate import ExperimentConfig, _draw_clicks, _draw_etas, derive_seed
-from .tables import _expected_dark
 
 
 class RunResult(NamedTuple):
@@ -66,26 +65,25 @@ def run_ensemble(
     """Simulate the whole experiment ``n_runs`` times and estimate each run.
 
     Each run draws fresh true transmittances, fresh click statistics, and
-    a fresh efficiency value as known to the estimator; expected dark
-    counts are subtracted before estimation when the config has a dark
-    rate.  All runs are then solved in one batch, each bit-identical to
-    ``ml_estimate`` on its own records.  Returns RMS deviations from
-    (trace_true, det_true).
+    a fresh efficiency value as known to the estimator.  Dark counts are
+    not subtracted: the solver fits the model the simulator draws, with the
+    dark mean ``dark_rate / rep_rate`` per pulse, so a blocked (t = 0)
+    setting may click.  All runs are then solved in one batch, each
+    bit-identical to the solver on its own records (to ``ml_estimate``
+    without a dark rate).  Returns RMS deviations from (trace_true, det_true).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     # run k: seed 2k for its data, 2k + 1 for its eta
     seeds = derive_seed(seed, np.arange(2 * n_runs, dtype=np.uint64))
     rows, t_trues = _draw_clicks(trace_true, det_true, config, seeds[0::2])
-    cs = np.array(rows, dtype=np.int64)
-    if config.dark_rate > 0.0:
-        cs = np.maximum(cs - _expected_dark(config.dark_rate, config.duration), 0)
     etas = _draw_etas(config, seeds[1::2])
     _check_etas(etas)
     eff = np.array(etas)[:, None] * np.array(config.transmittances)
     traces, dets, reliable, log_ls = (
         x.tolist() for x in _ml_solve(eff, np.full(eff.shape, float(config.n_trials)),
-                                      cs.astype(float)))
+                                      np.array(rows, dtype=float),
+                                      config.dark_rate / config.rep_rate))
     return EnsembleResult(
         eta=config.eta_apd,
         sigma_det=math.sqrt(sum((d - det_true) ** 2 for d in dets) / n_runs),

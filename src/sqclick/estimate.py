@@ -25,6 +25,7 @@ from .gaussian import (  # noqa: F401  (invert_two_point: the old import path)
     EstimationError,
     _ETA_FLOOR,
     _bs_gram_excess,
+    _dark_terms,
     _require_physical,
     _solve2,
     _state_summary,
@@ -95,10 +96,11 @@ def _setting_loglike(u, n, c, slopes=False):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _loglike(trace, det, eff, n, c):
+def _loglike(trace, det, eff, n, c, k=1.0, e0=0.0):
     """Log-likelihood summed over settings, the last axis; trace and det broadcast
     against eff, n and c, so they carry a trailing length-1 axis when not scalar."""
-    return _setting_loglike(np.maximum(_bs_gram_excess(trace, det, eff), 0.0), n, c).sum(-1)
+    u = k * np.maximum(_bs_gram_excess(trace, det, eff), 0.0) + e0  # u' with dark counts
+    return _setting_loglike(u, n, c).sum(-1)
 
 
 def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> float:
@@ -127,16 +129,16 @@ def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> np.ndarray:
     return np.where(check_physicality(tr, dt), log_l, -np.inf)
 
 
-def _edge_max(b, kappa, lam, e2, e1, ns, cs):
+def _edge_max(b, kappa, lam, e2, e1, e0, ns, cs):
     """Newton maximizer in b > 0 along the edge a = kappa*b^2 + lam*b of each row,
-    kept inside a bracket on the sign of the slope, which is +inf at b = 0.  b has a
-    row of starts per edge, kappa and lam a (1,)-row each.  A row stops after an
-    in-bracket step of at most 1e-9*b, leaving an error of order step^2, or keeps
-    its b once the step or the bracket is down to the rounding of b."""
+    kept inside a bracket on the sign of the slope (+inf at b = 0 without dark counts).
+    b has a row of starts per edge, kappa and lam a (1,)-row each.  A row stops after
+    an in-bracket step of at most 1e-9*b, leaving an error of order step^2, or keeps its
+    b once the step or the bracket is down to the rounding of b or of trace = 2 + b."""
     lo, hi, done = np.zeros_like(b), np.full_like(b, np.inf), np.zeros(b.shape, dtype=bool)
     two_kappa = 2.0 * kappa
     for _ in range(400):
-        u = e2 * ((kappa * b + lam) * b)[..., None] + e1 * b[..., None]
+        u = e2 * ((kappa * b + lam) * b)[..., None] + e1 * b[..., None] + e0
         d1, d2 = _setting_loglike(u, ns, cs, slopes=True)
         du = e2 * (two_kappa * b + lam)[..., None] + e1
         g = (d1 * du).sum(-1)
@@ -150,23 +152,23 @@ def _edge_max(b, kappa, lam, e2, e1, ns, cs):
         rounded = np.fmin(np.abs(step), hi - lo) <= 4e-16 * b
         converged = inside & (np.abs(step) <= 1e-9 * b)
         b = np.where(done | rounded, b, new)  # finished rows keep their b
-        done |= rounded | converged
+        done |= rounded | converged | (2.0 + hi == 2.0)
         if done.all():
             break
     return b
 
 
-def _interior_max(a, b, e2, e1, ns, cs):
-    """Damped Newton ascent in (a, b) of each row where every informative u > 0.
+def _interior_max(a, b, e2, e1, e0, ns, cs):
+    """Damped Newton ascent in (a, b) of each row where every informative u > e0.
 
     Each setting enters the Hessian as -|d2l/du2|, so every step is an ascent
     direction.  A row stops for good once the predicted gain grad.step is down
     to the rounding of its log-likelihood, or when 40 halvings of the step
     never raise the log-likelihood.
     """
-    floor = np.where(e1 > 0.0, 0.0, -1.0)  # u > floor: u > 0 wherever the setting counts
+    floor = np.where(e1 > 0.0, e0, -1.0)  # u > floor: u > e0 wherever the setting counts
     e22, e21, e11 = e2 * e2, e2 * e1, e1 * e1
-    u = e2 * a[:, None] + e1 * b[:, None]
+    u = e2 * a[:, None] + e1 * b[:, None] + e0
     value = _setting_loglike(u, ns, cs).sum(-1)
     moving = np.ones(a.size, dtype=bool)
     for _ in range(100):
@@ -180,7 +182,7 @@ def _interior_max(a, b, e2, e1, ns, cs):
             if not pending.any():
                 break
             ta, tb = a + 0.5**k * sa, b + 0.5**k * sb
-            ut = e2 * ta[:, None] + e1 * tb[:, None]
+            ut = e2 * ta[:, None] + e1 * tb[:, None] + e0
             trial = _setting_loglike(ut, ns, cs).sum(-1)
             ok = pending & (ut > floor).all(-1) & (trial > value)
             a, b, value = np.where(ok, ta, a), np.where(ok, tb, b), np.where(ok, trial, value)
@@ -192,21 +194,22 @@ def _interior_max(a, b, e2, e1, ns, cs):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _ml_solve(eff, ns, cs):
+def _ml_solve(eff, ns, cs, dark=0.0):
     """Maximum-likelihood (trace, det, det_reliable, log-likelihood) arrays for R runs.
 
     eff, ns and cs are (R, S) float arrays of effective transmittance
     (assumed efficiency times nominal transmittance), trials and clicks, one
-    row per run.  Every row is solved on its own: converged rows are frozen
-    by masks, every sum runs over the last (settings) axis and no matrix
-    product is used, so a run gets the same bits in any batch as alone.
-    See ml_estimate for the method and the errors.
+    row per run, and ``dark`` the dark mean per pulse, fitted as the scale and
+    offset of u that ``_dark_terms`` gives.  Every row is solved on its own:
+    converged rows are frozen by masks, every sum runs over the last (settings)
+    axis and no matrix product is used, so a run gets the same bits in any
+    batch as alone.  See ml_estimate for the method and the errors.
     """
     lo = np.min(np.where(eff > 0.0, eff, np.inf), axis=-1, initial=np.inf)
-    clicked = cs.sum(-1) > 0
+    clicked = ((cs > 0) & (eff > 0.0)).any(-1)  # clicks that light can explain
     checks = (
         ((ns == 0).any(-1), "a setting has zero trials"),
-        (((eff == 0.0) & (cs > 0)).any(-1),
+        (((eff == 0.0) & (cs > 0)).any(-1) & (dark == 0.0),
          "clicks recorded at zero transmittance, where P(click) = 0"),
         (~(lo < np.max(eff, axis=-1, initial=0.0)),
          "need at least two distinct nonzero transmittances"),
@@ -217,18 +220,21 @@ def _ml_solve(eff, ns, cs):
     if failed.any():  # the first failing run, with its first failing check
         raise EstimationError(checks[int(failed[:, failed.any(0).argmax()].argmax())][1])
 
-    # Zero clicks anywhere: the data are certain only for the vacuum.
+    # No clicks where light reaches: the data are certain only for the vacuum (u' = e0).
+    scale, e0 = _dark_terms(dark)
     n_runs = eff.shape[0]
     trace, det, log_l = np.full(n_runs, 2.0), np.ones(n_runs), np.zeros(n_runs)
     reliable = np.ones(n_runs, dtype=bool)
+    if not clicked.all():
+        log_l[~clicked] = _setting_loglike(e0, ns[~clicked], cs[~clicked]).sum(-1)
     live = np.flatnonzero(clicked)
     eff, ns, cs = eff[live], ns[live], cs[live]
-    e2, e1 = eff * eff, 2.0 * eff  # du/da, du/db
+    e2, e1 = scale * eff * eff, scale * 2.0 * eff  # du'/da, du'/db
 
     q = (cs + 0.5) / (ns + 1.0)  # half a count keeps p_hat = 1 - q inside (0, 1)
     p = 1.0 - q
     w = ns * p**5 / q  # 1/variance of u_hat by the delta method
-    u_hat = 4.0 * q * (2.0 - q) / p**2  # 4/p_hat^2 - 4 without cancellation
+    u_hat = 4.0 * q * (2.0 - q) / p**2 - e0  # 4/p_hat^2 - 4 without cancellation, less e0
     s22, s21, s11, g2, g1 = (x.sum(-1) for x in (w * e2 * e2, w * e2 * e1, w * e1 * e1,
                                                   w * e2 * u_hat, w * e1 * u_hat))
     a, b = _solve2(s22, s21, s11, g2, g1)
@@ -238,17 +244,19 @@ def _ml_solve(eff, ns, cs):
     # a = b^2/4 (det = (trace/2)^2), each from its own weighted fit.  On the pure
     # edge u = b*(e1 - e2), a ratio of the sums above.  On the thermal edge
     # sqrt(4 + u) = 2 + eff*b/2, so each setting gives b_i = 4q/((1 - q)*eff),
-    # averaged with inverse-variance weights n*eff^2*(1 - q)^3/q.
+    # averaged with inverse-variance weights n*eff^2*(1 - q)^3/q, without dark counts.
     starts = np.stack([(g1 - g2) / (s11 - 2.0 * s21 + s22),
-                       (4.0 * ns * eff * p * p).sum(-1) / (ns * e2 * p * p * p / q).sum(-1)])
+                       (4.0 * ns * eff * p * p).sum(-1) / (ns * e2 * p * p * p / q).sum(-1)
+                       if dark == 0.0 else b])
     b_pure, b_thermal = _edge_max(np.where((0.0 < starts) & (starts < np.inf), starts, b),
                                   np.array([[0.0], [0.25]]), np.array([[-1.0], [0.0]]),
-                                  e2, e1, ns, cs)
-    a, b = _interior_max(np.minimum(np.maximum(a, -b), 0.25 * b * b), b, e2, e1, ns, cs)
+                                  e2, e1, e0, ns, cs)
+    a, b = _interior_max(np.minimum(np.maximum(a, -b), 0.25 * b * b), b, e2, e1, e0, ns, cs)
     cand_t = 2.0 + np.stack([b_pure, b_thermal, b], axis=-1)
     top = 0.25 * cand_t * cand_t
     cand_d = np.stack([np.ones(live.size), top[:, 1], np.minimum(a + b + 1.0, top[:, 2])], -1)
-    scores = _loglike(cand_t[..., None], cand_d[..., None], eff[:, None], ns[:, None], cs[:, None])
+    per_cand = eff[:, None], ns[:, None], cs[:, None], scale, e0  # each row's candidates
+    scores = _loglike(cand_t[..., None], cand_d[..., None], *per_cand)
     scores[:, 2] = np.where((b > 0.0) & (-b < a) & (a < 0.25 * b * b), scores[:, 2], -np.inf)
     # The most likely candidate; exact ties go to the smaller det, then the smaller trace.
     rows, k = np.arange(live.size), np.lexsort((cand_t, cand_d, -scores), axis=-1)[:, 0]
@@ -259,7 +267,7 @@ def _ml_solve(eff, ns, cs):
     # det interval [1, (trace/2)^2] at the optimal trace.  Its maximum there is
     # log_l, as the ML point lies on it; its minimum is at an end in practice.
     ends = _loglike(best[:, None, None], np.stack([np.ones(live.size), top], -1)[..., None],
-                    eff[:, None], ns[:, None], cs[:, None])
+                    *per_cand)
     pinned = top - 1.0 < 1e-9  # det is fixed by the constraints
     reliable[live] = pinned | (log_l[live] - ends.min(-1) >= FLATNESS_NATS)
     if not np.isfinite([trace, det, log_l]).all():

@@ -283,9 +283,14 @@ def _check_click_args(trace, det, eff_t):
     _require_physical(trace, det)
 
 
-def _click_probability(trace, det, eff_t):
-    """click_probability_from_invariants without its checks, for callers that made them."""
-    u = max(_bs_gram_excess(trace, det, eff_t), 0.0)
+def _dark_terms(dark):
+    """(k, e0) of ``dark`` counts per pulse: P' = P*exp(-dark) has 4/P'^2 - 4 = k*u + e0."""
+    return math.exp(2.0 * dark), 4.0 * math.expm1(2.0 * dark)
+
+
+def _click_probability(trace, det, eff_t, k=1.0, e0=0.0):
+    """click_probability_from_invariants without its checks, and with _dark_terms' u'."""
+    u = k * max(_bs_gram_excess(trace, det, eff_t), 0.0) + e0
     s = math.sqrt(4.0 + u)
     return u / (s * (s + 2.0))
 

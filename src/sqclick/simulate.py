@@ -6,10 +6,13 @@ sufficient statistic, so per-second sub-windows are not simulated).  Two
 calibration imperfections are modeled: the true transmittance of each
 setting differs from its nominal value by a normal perturbation drawn
 once per run, and the efficiency value handed to the estimator carries a
-relative error (``perturbed_eta``).  Dark counts are an independent
-Poisson stream.  The click probabilities come from ``gaussian``; this
-module only draws, and builds ``tables.ClickRecord`` rows.  The config
-stays a frozen dataclass, as ``dataclasses.replace`` re-runs its checks.
+relative error (``perturbed_eta``).  Dark counts are a Poisson background
+of ``dark_rate / rep_rate`` per pulse: they multiply each no-click
+probability by exp(-dark) (``gaussian._dark_terms``), so a setting's clicks
+stay one binomial draw, at the probability the sweep solver fits.  The
+click probabilities come from ``gaussian``; this module only draws, and
+builds ``tables.ClickRecord`` rows.  The config stays a frozen dataclass,
+as ``dataclasses.replace`` re-runs its checks.
 
 This module owns the streams: seed s drives PCG64 seeded with the four
 SplitMix64 words ``derive_seed(s, 0..3)``, built from Python ints for one
@@ -23,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _ETA_FLOOR, _click_probability, _require_physical
+from .gaussian import _ETA_FLOOR, _click_probability, _dark_terms, _require_physical
 from .tables import _MAX_TRIALS, ClickRecord, subtract_dark  # noqa: F401  (subtract_dark: bench/ calls it here)
 
-_MAX_DARK = _MAX_TRIALS - 10.0 * math.sqrt(_MAX_TRIALS)  # numpy's largest Poisson mean
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -84,7 +86,11 @@ class ExperimentConfig:
     transmittances: nominal beamsplitter settings, each in [0, 1].
     eta_apd: true overall detection efficiency (filters + detector).
     dark_rate: dark counts per second.
-    t_uncertainty: absolute std dev of the true transmittance around nominal.
+    t_uncertainty: absolute std dev of the normal draw of each true
+        transmittance around nominal, clipped to [0, 1].  A t = 0 setting
+        stays exact, and at t = 1 half the draws clip, so the true value
+        averages 1 - 0.40*t_uncertainty with an sd of 0.58*t_uncertainty
+        (ROADMAP item 19).
     eta_rel_uncertainty: relative std dev of the efficiency value reported
         to the estimator (calibration knowledge, not physics).
     """
@@ -120,11 +126,9 @@ class ExperimentConfig:
             raise ValueError(f"eta_apd = {self.eta_apd} outside [0, 1]")
         if self.dark_rate < 0.0 or self.t_uncertainty < 0.0 or self.eta_rel_uncertainty < 0.0:
             raise ValueError("rates and uncertainties must be non-negative")
-        dark_cap = min(self.n_trials, _MAX_DARK)  # more than every pulse clicking is no data
-        if self.dark_rate * self.duration > dark_cap:
+        if self.dark_rate * self.duration > self.n_trials:  # more than every pulse clicking
             raise ValueError(f"dark_rate_hz = {self.dark_rate} expects more dark counts per "
-                             f"setting than its {self.n_trials} pulses or numpy's Poisson "
-                             f"limit allow ({dark_cap:.6g})")
+                             f"setting than its {self.n_trials} pulses")
 
     @property
     def n_trials(self) -> int:
@@ -137,14 +141,15 @@ def _draw_clicks(trace, det, config, seeds):
 
     Returns a list of rows, each a list of one click count per setting, and
     a list of true-transmittance tuples.  Each run draws, setting by
-    setting, the true transmittance (when t_uncertainty > 0), the clicks
-    and the dark counts (when dark_rate > 0), in that order.
+    setting, the true transmittance (when t_uncertainty > 0), then the
+    clicks, light and dark counts together, in that order.
     """
     _require_physical(trace, det)
     n, eta, sigma = config.n_trials, config.eta_apd, config.t_uncertainty
-    dark = config.dark_rate * config.duration if config.dark_rate > 0.0 else None
+    k, e0 = _dark_terms(config.dark_rate / config.rep_rate)
     nominal = config.transmittances
-    nominal_q = [_click_probability(trace, det, eta * t) for t in nominal] if sigma == 0.0 else None
+    nominal_q = ([_click_probability(trace, det, eta * t, k, e0) for t in nominal]
+                 if sigma == 0.0 else None)
     rows, t_trues = [], []
     for rng in generators(seeds):
         row, t_true = [], []
@@ -152,14 +157,11 @@ def _draw_clicks(trace, det, config, seeds):
             if nominal_q is None:
                 drawn = min(max(rng.normal(t_nom, sigma), 0.0), 1.0)
                 t = drawn if t_nom > 0.0 else 0.0  # a blocked beam stays blocked
-                q = _click_probability(trace, det, eta * t)
+                q = _click_probability(trace, det, eta * t, k, e0)
                 t_true.append(t)
             else:
                 q = nominal_q[i]
-            clicks = int(rng.binomial(n, q))
-            if dark is not None:
-                clicks = min(clicks + int(rng.poisson(dark)), n)
-            row.append(clicks)
+            row.append(int(rng.binomial(n, q)))
         rows.append(row)
         t_trues.append(tuple(t_true) if nominal_q is None else nominal)
     return rows, t_trues
@@ -179,7 +181,8 @@ def simulate_run(trace: float, det: float, config: ExperimentConfig, seed: int) 
 def perturbed_eta(config: ExperimentConfig, seed: int) -> float:
     """Efficiency value the experimenter would hand to the estimator.
 
-    eta_apd*(1 + Normal(0, eta_rel_uncertainty)), clipped to (0, 1].
+    eta_apd*(1 + Normal(0, eta_rel_uncertainty)), clipped to [1e-12, 1]
+    (the efficiency floor).
     With zero uncertainty this is exactly eta_apd.
     """
     return _draw_etas(config, [operator.index(seed)])[0]

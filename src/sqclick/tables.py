@@ -44,11 +44,6 @@ class ClickRecord(namedtuple("ClickRecord", "t_nominal trials clicks dark_subtra
         return self
 
 
-def _expected_dark(dark_rate, duration) -> int:
-    """Dark counts expected in one setting's acquisition, rounded to a count."""
-    return int(round(dark_rate * duration))
-
-
 def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> ClickRecord:
     """Remove the expected dark-count total, flooring at zero clicks."""
     if not (dark_rate >= 0.0 and duration > 0.0 and math.isfinite(dark_rate * duration)):
@@ -59,7 +54,7 @@ def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> Cli
     if dark_rate * duration > record.trials:
         raise ValueError(f"dark_rate * duration = {dark_rate * duration} expected dark counts "
                          f"exceed the record's {record.trials} trials")
-    clicks = max(0, record.clicks - _expected_dark(dark_rate, duration))
+    clicks = max(0, record.clicks - int(round(dark_rate * duration)))
     return ClickRecord(record.t_nominal, record.trials, clicks, dark_subtracted=True)
 
 

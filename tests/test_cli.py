@@ -349,7 +349,9 @@ class TestSimulate:
         ) == 2
         assert "pulses per setting exceeds" in capsys.readouterr().err
 
-    def test_dark_count_total_beyond_poisson_draw_exit_code(self, tmp_path, capsys):
+    def test_dark_count_total_above_pulses_exit_code(self, tmp_path, capsys):
+        # more expected dark counts per setting than pulses is refused as a config
+        # error: an on/off detector clicks at most once per pulse
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG.replace("dark_rate_hz = 0", "dark_rate_hz = 1e19")
                         .replace("duration_s = 100", "duration_s = 1"))
@@ -621,6 +623,15 @@ class TestSweep:
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
+    def test_blocked_setting_with_dark_counts(self, tmp_path, capsys):
+        # dark clicks at a t = 0 setting are part of the fitted model, not an error
+        path = tmp_path / "blocked_dark.cfg"
+        path.write_text(SWEEP_CONFIG.replace("= 1, 0.5\n", "= 1, 0.5, 0.25, 0\n")
+                        + "dark_rate_hz = 300\n")
+        argv = ["sweep", "--config", str(path), "--mode", "eta", "--seed", "1", "--runs", "10"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     @pytest.mark.parametrize(
         "old,new",
         [("etas = 0.3, 0.6", "etas = 0.1, abc"), ("state_trace = 2.321", "state_trace = 2.3x"),
@@ -637,8 +648,8 @@ class TestSweep:
         assert new.split(" =")[0] in capsys.readouterr().err
 
     def test_dark_count_total_above_pulses_exit_code(self, tmp_path, capsys):
-        # more expected dark counts than pulses would floor every setting at
-        # zero clicks and report a confident vacuum
+        # the same config error as for simulate: more expected dark counts per
+        # setting than pulses, where an on/off detector clicks at most once a pulse
         path = tmp_path / "dark.cfg"
         path.write_text(SWEEP_CONFIG + "dark_rate_hz = 1e9\n")
         assert main(

@@ -13,7 +13,6 @@ from sqclick import (
     run_ensemble,
     simulate_run,
     state_sweep,
-    subtract_dark,
 )
 from sqclick import ensemble, estimate
 from sqclick.simulate import _draw_clicks, generators
@@ -131,8 +130,8 @@ class TestRunEnsemble:
                 if nom < 1.0
             )
 
-    def test_dark_counts_subtracted_before_estimation(self):
-        # vacuum + dark counts must still estimate (2, 1) after subtraction
+    def test_dark_counts_modelled_in_estimation(self):
+        # vacuum + dark counts must still estimate (2, 1) with the dark mean fitted
         cfg = quick_config(dark_rate=20.0, duration=1.0, rep_rate=10_000.0)
         res = run_ensemble(2.0, 1.0, cfg, 4, seed=2)
         assert res.sigma_trace < 0.05
@@ -174,6 +173,7 @@ SIXTEEN = tuple(k / 16 for k in range(16, 0, -1))
     "overrides",
     [
         dict(transmittances=(1.0, 0.5, 0.25, 0.0), t_uncertainty=0.005),
+        dict(transmittances=(1.0, 0.5, 0.25, 0.0), dark_rate=300.0),
         dict(transmittances=(1.0, 0.75, 0.5, 0.25), dark_rate=200.0),
         dict(transmittances=SIXTEEN, t_uncertainty=0.005, eta_rel_uncertainty=0.01),
         dict(transmittances=SIXTEEN, dark_rate=200.0, eta_rel_uncertainty=0.01),
@@ -181,12 +181,13 @@ SIXTEEN = tuple(k / 16 for k in range(16, 0, -1))
         dict(transmittances=(1.0, 0.75, 0.5, 0.25)),
         dict(transmittances=SIXTEEN),
     ],
-    ids=["4-blocked-noise", "4-dark", "16-noise", "16-dark-noise", "4-dark-noise", "4-exact",
-         "16-exact"],
+    ids=["4-blocked-noise", "4-blocked-dark", "4-dark", "16-noise", "16-dark-noise",
+         "4-dark-noise", "4-exact", "16-exact"],
 )
 def test_batched_runs_equal_serial_estimates(eta, overrides):
-    # every run of the batch has the bits ml_estimate gives its records alone,
-    # and a shorter ensemble is a prefix of a longer one
+    # every run of the batch has the bits the solver gives its records alone
+    # (ml_estimate without a dark rate, else the solver at R = 1 with the dark
+    # mean), and a shorter ensemble is a prefix of a longer one
     cfg = quick_config(eta_apd=eta, **overrides)
     res = run_ensemble(TRACE0, DET0, cfg, 40, seed=21)
     assert run_ensemble(TRACE0, DET0, cfg, 12, seed=21).runs == res.runs[:12]
@@ -194,11 +195,14 @@ def test_batched_runs_equal_serial_estimates(eta, overrides):
         _, (t_true,) = _draw_clicks(TRACE0, DET0, cfg, [derive_seed(21, 2 * j)])
         assert run.t_true == t_true
         records = simulate_run(TRACE0, DET0, cfg, derive_seed(21, 2 * j))
-        if cfg.dark_rate > 0.0:
-            records = [subtract_dark(r, cfg.dark_rate, cfg.duration) for r in records]
         eta_assumed = perturbed_eta(cfg, derive_seed(21, 2 * j + 1))
-        est = ml_estimate(records, eta_assumed)
-        serial = (est.trace, est.det, est.det_reliable, est.log_likelihood_at_max, eta_assumed)
+        if cfg.dark_rate > 0.0:
+            serial = [x.item() for x in estimate._ml_solve(
+                *estimate._setting_arrays([records], [eta_assumed]), cfg.dark_rate / cfg.rep_rate)]
+        else:
+            est = ml_estimate(records, eta_assumed)
+            serial = [est.trace, est.det, est.det_reliable, est.log_likelihood_at_max]
+        serial.append(eta_assumed)
         batched = (run.trace_est, run.det_est, run.det_reliable, run.log_likelihood_at_max,
                    run.eta_assumed)
         assert [float(x).hex() for x in batched] == [float(x).hex() for x in serial]

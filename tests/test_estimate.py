@@ -32,6 +32,7 @@ from sqclick import (
 )
 from sqclick import estimate
 from sqclick.estimate import FLATNESS_NATS, _ml_solve, _setting_arrays
+from sqclick.gaussian import _click_probability, _dark_terms
 from sqclick.modes import _mode_fit_table
 from sqclick.tables import estimate_lines
 
@@ -450,6 +451,65 @@ def test_ml_solve_beats_grid_on_dark_and_saturated_tables():
         for row, log_l in enumerate(log_ls):
             grid = estimate._loglike(trace[..., None], det[..., None], eff[row], ns[row], cs[row])
             assert grid.max() <= log_l + 1e-9 * abs(log_l) + 1e-6, (runs[row], etas[row])
+
+
+def dark_tables(n_tables, seed):
+    # (records, eta, dark mean, true trace, true det) of clicks drawn at the
+    # dark-count model's probability: trace - 2 in [1e-6, 1e6], det anywhere on
+    # [1, (trace/2)^2] with both edges, eta in [1e-3, 1], a dark mean in
+    # [1e-6, 0.1] per pulse, 1e2-1e12 trials, 2-9 settings, 30% with a t = 0 row
+    rng = np.random.default_rng(seed)
+    for _ in range(n_tables):
+        trace = 2.0 + 10 ** rng.uniform(-6.0, 6.0)
+        top = 0.25 * trace * trace
+        det = rng.choice([1.0, top, 1.0 + rng.random() * (top - 1.0)], p=[0.2, 0.2, 0.6])
+        eta, dark = 10 ** rng.uniform(-3.0, 0.0), 10 ** rng.uniform(-6.0, -1.0)
+        n = int(10 ** rng.uniform(2.0, 12.0))
+        ts = sorted(rng.uniform(0.01, 1.0, rng.integers(2, 10)), reverse=True)
+        if rng.random() < 0.3:
+            ts.append(0.0)
+        terms = _dark_terms(dark)
+        records = [ClickRecord(float(t), n, int(rng.binomial(n, _click_probability(
+            trace, det, eta * t, *terms)))) for t in ts]
+        yield records, eta, dark, trace, det
+
+
+def test_ml_solve_at_least_as_likely_as_truth_on_dark_tables():
+    # the model the simulator draws is the one the solver fits: no estimate is
+    # less likely than the true state, and none is refused
+    for records, eta, dark, trace, det in dark_tables(200, seed=11):
+        arrays = _setting_arrays([records], [eta])
+        log_l = _ml_solve(*arrays, dark)[3].item()
+        truth = estimate._loglike(trace, det, *arrays, *_dark_terms(dark)).item()
+        assert log_l >= truth - 1e-9 * abs(truth) - 1e-6, (records, eta, dark, trace, det)
+
+
+def test_dark_clicks_alone_give_the_vacuum():
+    # no clicks where light reaches: the vacuum, whose no-click probability is
+    # exp(-dark) at every setting, so its log-likelihood is -dark * trials when
+    # nothing clicks at all
+    eff, ns, cs = _setting_arrays([[ClickRecord(1.0, 1000, 0), ClickRecord(0.5, 1000, 0),
+                                    ClickRecord(0.0, 1000, 3)]], [0.5])
+    trace, det, reliable, log_l = _ml_solve(eff, ns, cs, 1e-3)
+    assert (trace.item(), det.item(), reliable.item()) == (2.0, 1.0, True)
+    assert log_l.item() == pytest.approx(estimate._loglike(2.0, 1.0, eff, ns, cs,
+                                                           *_dark_terms(1e-3)).item(), rel=1e-12)
+    assert _ml_solve(eff[:, :2], ns[:, :2], cs[:, :2], 1e-3)[3].item() == pytest.approx(-2.0)
+
+
+def test_edge_loop_stops_once_trace_rounds_to_two():
+    # fewer clicks than dark counts explain: both edges peak at b = 0, where the
+    # slope is finite and negative, and the loop stops once trace = 2 + b rounds
+    # to 2 rather than halving b for all of its 400 passes
+    eff, ns, cs = _setting_arrays([[ClickRecord(1.0, 10**6, 950), ClickRecord(0.5, 10**6, 950)]],
+                                  [0.5])
+    scale, e0 = _dark_terms(1e-3)
+    with mock.patch.object(estimate, "_setting_loglike", wraps=estimate._setting_loglike) as spy:
+        b = estimate._edge_max(np.ones((2, 1)), np.array([[0.0], [0.25]]),
+                               np.array([[-1.0], [0.0]]), scale * eff * eff, scale * 2.0 * eff,
+                               e0, ns, cs)
+    assert (2.0 + b == 2.0).all() and spy.call_count < 100
+    assert [x.item() for x in _ml_solve(eff, ns, cs, 1e-3)[:2]] == [2.0, 1.0]
 
 
 def edge_loglike(b, kappa, lam, eff, ns, cs):

@@ -140,8 +140,11 @@ class TestSimulateRun:
             dark_rate=20.0,
         )
         clicks = [simulate_run(TRACE0, DET0, cfg, seed)[0].clicks for seed in range(200)]
-        # Poisson(2000): the sample mean over 200 runs has SE ~ 3.2
-        assert abs(np.mean(clicks) - 2000.0) < 4.0 * math.sqrt(2000.0 / 200.0)
+        # a click on a pulse whenever its Poisson dark count is nonzero: binomial
+        # at 1 - exp(-lambda) per pulse, about 2000 per run (SE of the mean ~ 3.2)
+        n, q = cfg.n_trials, -math.expm1(-cfg.dark_rate / cfg.rep_rate)
+        se = math.sqrt(n * q * (1.0 - q) / len(clicks))
+        assert abs(np.mean(clicks) - n * q) < 4.0 * se
 
     def test_monotone_in_transmittance_and_eta(self):
         cfg = ExperimentConfig(
