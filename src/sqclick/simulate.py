@@ -4,8 +4,9 @@ Each beamsplitter setting accumulates ``rep_rate * duration`` pulses; the
 clicks at one setting are a single binomial draw (the totals are a
 sufficient statistic, so per-second sub-windows are not simulated).  Two
 calibration imperfections are modeled: the true transmittance of each
-setting differs from its nominal value by a normal perturbation drawn
-once per run, and the efficiency value handed to the estimator carries a
+interior setting (0 < t < 1) differs from its nominal value by a normal
+perturbation drawn once per run and clipped to [0, 1] (settings at 0 and
+1 are exact), and the efficiency value handed to the estimator carries a
 relative error (``perturbed_eta``).  Dark counts are a Poisson background
 of ``dark_rate / rep_rate`` per pulse: they multiply each no-click
 probability by exp(-dark) (``gaussian._dark_terms``), so a setting's clicks
@@ -87,10 +88,8 @@ class ExperimentConfig:
     eta_apd: true overall detection efficiency (filters + detector).
     dark_rate: dark counts per second.
     t_uncertainty: absolute std dev of the normal draw of each true
-        transmittance around nominal, clipped to [0, 1].  A t = 0 setting
-        stays exact, and at t = 1 half the draws clip, so the true value
-        averages 1 - 0.40*t_uncertainty with an sd of 0.58*t_uncertainty
-        (ROADMAP item 19).
+        transmittance around nominal, clipped to [0, 1].  Settings at 0 and
+        1 are exact; only a setting within a few sd of an end clips.
     eta_rel_uncertainty: relative std dev of the efficiency value reported
         to the estimator (calibration knowledge, not physics).
     """
@@ -140,30 +139,27 @@ def _draw_clicks(trace, det, config, seeds):
     """Click totals and true transmittances of one run per seed in ``seeds``.
 
     Returns a list of rows, each a list of one click count per setting, and
-    a list of true-transmittance tuples.  Each run draws, setting by
-    setting, the true transmittance (when t_uncertainty > 0), then the
-    clicks, light and dark counts together, in that order.
+    a list of true-transmittance tuples.  Setting by setting, each run draws
+    the true transmittance of an interior setting (0 < t < 1, clipped to
+    [0, 1]; 0 and 1 are exact) when t_uncertainty > 0, then the clicks,
+    light and dark counts together.
     """
     _require_physical(trace, det)
     n, eta, sigma = config.n_trials, config.eta_apd, config.t_uncertainty
     k, e0 = _dark_terms(config.dark_rate / config.rep_rate)
-    nominal = config.transmittances
-    nominal_q = ([_click_probability(trace, det, eta * t, k, e0) for t in nominal]
-                 if sigma == 0.0 else None)
+    settings = [(t, _click_probability(trace, det, eta * t, k, e0), sigma > 0.0 and 0.0 < t < 1.0)
+                for t in config.transmittances]
     rows, t_trues = [], []
     for rng in generators(seeds):
         row, t_true = [], []
-        for i, t_nom in enumerate(nominal):
-            if nominal_q is None:
-                drawn = min(max(rng.normal(t_nom, sigma), 0.0), 1.0)
-                t = drawn if t_nom > 0.0 else 0.0  # a blocked beam stays blocked
+        for t, q, drawn in settings:
+            if drawn:
+                t = min(max(rng.normal(t, sigma), 0.0), 1.0)
                 q = _click_probability(trace, det, eta * t, k, e0)
-                t_true.append(t)
-            else:
-                q = nominal_q[i]
+            t_true.append(t)
             row.append(int(rng.binomial(n, q)))
         rows.append(row)
-        t_trues.append(tuple(t_true) if nominal_q is None else nominal)
+        t_trues.append(tuple(t_true))
     return rows, t_trues
 
 
@@ -182,8 +178,9 @@ def perturbed_eta(config: ExperimentConfig, seed: int) -> float:
     """Efficiency value the experimenter would hand to the estimator.
 
     eta_apd*(1 + Normal(0, eta_rel_uncertainty)), clipped to [1e-12, 1]
-    (the efficiency floor).
-    With zero uncertainty this is exactly eta_apd.
+    (the efficiency floor).  The clip at 1 biases the value low only when
+    eta_apd is within a few sd of 1.  With zero uncertainty this is exactly
+    eta_apd.
     """
     return _draw_etas(config, [operator.index(seed)])[0]
 

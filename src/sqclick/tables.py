@@ -45,7 +45,7 @@ class ClickRecord(namedtuple("ClickRecord", "t_nominal trials clicks dark_subtra
 
 
 def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> ClickRecord:
-    """Remove the expected dark-count total, flooring at zero clicks."""
+    """Remove the expected dark-count total, flooring at zero; at t = 0 every click is dark."""
     if not (dark_rate >= 0.0 and duration > 0.0 and math.isfinite(dark_rate * duration)):
         raise ValueError(f"need dark_rate >= 0 and duration > 0 with a finite product, "
                          f"got dark_rate = {dark_rate}, duration = {duration}")
@@ -54,7 +54,7 @@ def subtract_dark(record: ClickRecord, dark_rate: float, duration: float) -> Cli
     if dark_rate * duration > record.trials:
         raise ValueError(f"dark_rate * duration = {dark_rate * duration} expected dark counts "
                          f"exceed the record's {record.trials} trials")
-    clicks = max(0, record.clicks - int(round(dark_rate * duration)))
+    clicks = max(0, record.clicks - int(round(dark_rate * duration))) if record.t_nominal else 0
     return ClickRecord(record.t_nominal, record.trials, clicks, dark_subtracted=True)
 
 

@@ -525,6 +525,19 @@ class TestEstimate:
         assert captured.out == ""
         assert f"{data}:3: dark_subtracted = {flag} is not 0 or 1" in captured.err
 
+    def test_blocked_setting_with_dark_rate(self, tmp_path, capsys):
+        # every click at a t = 0 setting is dark, so subtraction leaves none there
+        # and the table is not refused for clicks at zero transmittance
+        cfg = tmp_path / "blocked_dark.cfg"
+        cfg.write_text(BASE_CONFIG.replace("= 1, 0.75, 0.5, 0.25\n", "= 1, 0.5, 0.25, 0\n")
+                       .replace("dark_rate_hz = 0", "dark_rate_hz = 300"))
+        data = tmp_path / "clicks.csv"
+        for seed in range(10):
+            assert main(["simulate", "--config", str(cfg), "--trace", "2.321", "--det", "1.156",
+                         "--seed", str(seed), "--output", str(data)]) == 0
+            assert main(["estimate", "--data", str(data), "--eta", "0.5",
+                         "--dark-rate", "300", "--duration", "100"]) == 0, seed
+
     def test_singular_weighted_start_finds_interior_maximum(self, tmp_path, capsys):
         # one dark setting and three saturated ones make the weighted start singular;
         # the maximum is interior, far above the thermal edge once reported here

@@ -212,29 +212,30 @@ def test_sweep_streams_are_pinned():
     # a 2-point x 200-run sweep with calibration noise.  What comes only from
     # the random streams (efficiency, true transmittances, clicks) is pinned
     # to the bit; the solver's outputs, which pass through numpy's
-    # platform-dependent log/exp, to 6 significant digits
+    # platform-dependent log/exp, to 6 significant digits.  The t = 1 setting
+    # is exact, so it draws no transmittance and its true value is 1
     cfg = quick_config(t_uncertainty=0.005, eta_rel_uncertainty=0.01)
     etas = [0.05, 0.5]
     res = eta_sweep(TRACE0, DET0, cfg, etas, 200, with_uncertainties=True, seed=2026)
     golden = [
-        (("0.0183741", "0.16935"),
+        (("0.0167039", "0.170255"),
          [(0, "0x1.972620930995dp-5",
-           ("0x1.0000000000000p+0", "0x1.83f1ced75d107p-1", "0x1.ffcd4ead1031bp-2",
-            "0x1.f42d4f5be802fp-3"), [140, 116, 77, 35],
-           ("2.31069", "1", "-2556.16"), False),
+           ("0x1.0000000000000p+0", "0x1.84e11a3367733p-1", "0x1.fe49cd058568bp-2",
+            "0x1.046d0f88e0947p-2"), [150, 124, 82, 27],
+           ("2.31692", "1.34203", "-2634.23"), False),
           (199, "0x1.96f4b66fa8ba2p-5",
-           ("0x1.fe123a5a41e89p-1", "0x1.84124bd0e00f4p-1", "0x1.00d32a224493ep-1",
-            "0x1.0592a7e327603p-2"), [165, 119, 71, 28],
-           ("2.31707", "1.3422", "-2626.55"), False)]),
-        (("0.0157224", "0.0631989"),
+           ("0x1.0000000000000p+0", "0x1.7f52ab566e049p-1", "0x1.fff5044dbbfb7p-2",
+            "0x1.f7b4be1fe2753p-3"), [153, 123, 93, 38],
+           ("2.34393", "1", "-2788.87"), False)]),
+        (("0.0161699", "0.0640756"),
          [(0, "0x1.028c47fa0ecdbp-1",
-           ("0x1.0000000000000p+0", "0x1.80792e8b851bfp-1", "0x1.fe4f3a0f4acd9p-2",
-            "0x1.fb4b3bfc08313p-3"), [1340, 1020, 738, 372],
-           ("2.318", "1.18695", "-16318.9"), True),
+           ("0x1.0000000000000p+0", "0x1.85dfa1d757947p-1", "0x1.ff8542c6b15b5p-2",
+            "0x1.ef029c168510bp-3"), [1279, 975, 709, 360],
+           ("2.30803", "1.16136", "-15779.1"), True),
           (199, "0x1.fc6c340bb4ae7p-2",
-           ("0x1.ffae12bdf868dp-1", "0x1.7eeb4cb42405ap-1", "0x1.007400be24a49p-1",
-            "0x1.eb37509da1683p-3"), [1312, 980, 710, 350],
-           ("2.30216", "1.2247", "-15866"), True)]),
+           ("0x1.0000000000000p+0", "0x1.80c5cb4183223p-1", "0x1.fd3bc4cb2f0b2p-2",
+            "0x1.fac1df590121ep-3"), [1322, 1051, 691, 383],
+           ("2.31967", "1.19332", "-16234.5"), True)]),
     ]
 
     def g6(*xs):
@@ -372,3 +373,15 @@ class TestStateSweep:
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError, match="states must be non-empty"):
             state_sweep([], quick_config(), 2, seed=10)
+
+    @pytest.mark.parametrize("noise", [dict(t_uncertainty=0.005, eta_rel_uncertainty=0.01), {}],
+                             ids=["paper-noise", "exact"])
+    def test_mean_det_within_three_standard_errors(self, noise):
+        # criterion 7's states and seed at 10x its runs: each mean det lies within
+        # 3 standard errors (the runs' sd over sqrt(R)) of the truth
+        states = [(2.10, 1.05), (TRACE0, DET0), (2.60, 1.30), (3.00, 1.50), (3.50, 1.90)]
+        n_runs = 2000
+        res = state_sweep(states, quick_config(duration=100.0, **noise), n_runs, seed=1618)
+        for (_, det_true), point in zip(states, res, strict=True):
+            se = np.std([run.det_est for run in point.runs], ddof=1) / math.sqrt(n_runs)
+            assert abs(point.mean_det_est - det_true) <= 3.0 * se, (det_true, point.mean_det_est)

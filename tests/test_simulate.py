@@ -15,6 +15,7 @@ from sqclick import (
     subtract_dark,
     trace_det_from_squeezer,
 )
+from sqclick.simulate import _draw_clicks
 
 TRACE0, DET0 = 2.321, 1.156
 
@@ -120,6 +121,21 @@ class TestSimulateRun:
             assert records[-1].clicks == 0
             assert records[:-1] == simulate_run(TRACE0, DET0, open_only, seed)
 
+    def test_ends_draw_nothing(self):
+        # settings at 1 and 0 are exact: calibration noise draws no transmittance
+        # there, so the clicks are the noiseless run's, dark counts included
+        ends = dict(transmittances=(1.0, 0.0), dark_rate=300.0)
+        noisy, exact = small_config(t_uncertainty=0.005, **ends), small_config(**ends)
+        for seed in range(50):
+            assert (simulate_run(TRACE0, DET0, noisy, seed)
+                    == simulate_run(TRACE0, DET0, exact, seed))
+
+    def test_ends_exact_and_interior_drawn_in_every_run(self):
+        cfg = small_config(transmittances=(1.0, 0.5, 0.0), t_uncertainty=0.005)
+        _, t_trues = _draw_clicks(TRACE0, DET0, cfg, list(range(200)))
+        assert all(t[0] == 1.0 and t[2] == 0.0 for t in t_trues)
+        assert len({t[1] for t in t_trues}) == 200
+
     def test_mean_against_analytic_rate(self):
         # full-scale acquisition at percent-level efficiency, T = 1 only
         cfg = ExperimentConfig(
@@ -219,6 +235,13 @@ class TestSubtractDark:
     def test_floor_at_zero(self):
         rec = ClickRecord(t_nominal=1.0, trials=10_000_000, clicks=1500)
         assert subtract_dark(rec, 20.0, 100.0).clicks == 0
+
+    def test_blocked_beam_keeps_no_clicks(self):
+        # at t = 0 no light arrives: every click is dark, whatever the rounded expectation
+        for clicks in (0, 1999, 2000, 2001, 5000):
+            rec = ClickRecord(t_nominal=0.0, trials=10_000_000, clicks=clicks)
+            out = subtract_dark(rec, 20.0, 100.0)
+            assert (out.clicks, out.dark_subtracted) == (0, True)
 
     def test_zero_rate_is_identity(self):
         rec = ClickRecord(t_nominal=1.0, trials=10_000_000, clicks=2000)
