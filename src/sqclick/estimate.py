@@ -163,8 +163,10 @@ def _interior_max(a, b, e2, e1, e0, ns, cs):
 
     Each setting enters the Hessian as -|d2l/du2|, so every step is an ascent
     direction.  A row stops for good once the predicted gain grad.step is down
-    to the rounding of its log-likelihood, or when 40 halvings of the step
-    never raise the log-likelihood.
+    to the rounding of its log-likelihood, once an accepted step gained no
+    more than that rounding (a step cut short by the floor, which touches the
+    physical region only at the vacuum corner, an edge candidate already), or
+    when 40 halvings of the step never raise the log-likelihood.
     """
     floor = np.where(e1 > 0.0, e0, -1.0)  # u > floor: u > e0 wherever the setting counts
     e22, e21, e11 = e2 * e2, e2 * e1, e1 * e1
@@ -176,7 +178,8 @@ def _interior_max(a, b, e2, e1, e0, ns, cs):
         d2 = np.abs(d2)
         ga, gb = (e2 * d1).sum(-1), (e1 * d1).sum(-1)
         sa, sb = _solve2((e22 * d2).sum(-1), (e21 * d2).sum(-1), (e11 * d2).sum(-1), ga, gb)
-        pending = moving & (ga * sa + gb * sb > 1e-10 + 1e-15 * np.abs(value))
+        tol = 1e-10 + 1e-15 * np.abs(value)
+        pending = moving & (ga * sa + gb * sb > tol)
         moving = np.zeros(a.size, dtype=bool)
         for k in range(40):  # halve each pending step until the log-likelihood rises
             if not pending.any():
@@ -185,9 +188,10 @@ def _interior_max(a, b, e2, e1, e0, ns, cs):
             ut = e2 * ta[:, None] + e1 * tb[:, None] + e0
             trial = _setting_loglike(ut, ns, cs).sum(-1)
             ok = pending & (ut > floor).all(-1) & (trial > value)
+            gained = ok & (trial - value > tol)
             a, b, value = np.where(ok, ta, a), np.where(ok, tb, b), np.where(ok, trial, value)
             u = np.where(ok[:, None], ut, u)
-            moving, pending = moving | ok, pending & ~ok
+            moving, pending = moving | gained, pending & ~ok
         if not moving.any():
             break
     return a, b

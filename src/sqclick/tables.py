@@ -6,8 +6,9 @@ manifest block; each writer names its columns once, and that list gives the
 header and picks each row's values from the records' ``_asdict()``.  Records
 are 'key = value' lines from one formatter (bools as true/false).  Readers
 skip '#' lines, so any file written here round-trips through its reader.
-Config files take only the known keys, each once.  The click table's row,
-``ClickRecord``, and its dark correction live here, so analysing a measured
+Config files take only the keys of ``_CONFIG_KEYS`` and of the sweep, each
+once, and only ``ExperimentConfig`` states their defaults.  The click table's
+row, ``ClickRecord``, and its dark correction live here, so analysing a measured
 table needs no simulator; ``simulate``'s config is imported where it is built.
 """
 
@@ -124,11 +125,7 @@ def read_key_values(path) -> dict:
     return mapping
 
 
-def _parse_float(mapping, key, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"missing required config key '{key}'")
-        return default
+def _parse_float(mapping, key):
     try:
         return float(mapping[key])
     except ValueError as exc:
@@ -143,47 +140,40 @@ def _parse_float_list(text, where):
 
 
 _SWEEP_KEYS = {"eta": ("state_trace", "state_det", "etas"), "state": ("states",)}
+# config-file key -> the ExperimentConfig field it sets, in the order keys are checked
+_CONFIG_KEYS = {"rep_rate_hz": "rep_rate", "duration_s": "duration",
+                "transmittances": "transmittances", "eta_apd": "eta_apd",
+                "dark_rate_hz": "dark_rate", "t_uncertainty": "t_uncertainty",
+                "eta_rel_uncertainty": "eta_rel_uncertainty"}
 
 
 def config_from_mapping(mapping: dict):
     """Build an ExperimentConfig from parsed key-value pairs.
 
-    Required keys: rep_rate_hz, duration_s, transmittances, eta_apd.
-    Optional: dark_rate_hz, t_uncertainty, eta_rel_uncertainty (default 0).
-    The sweep's keys (_SWEEP_KEYS, by mode) are allowed too, as one file
-    serves both; any other key, a misspelling most likely, is refused.
+    Each _CONFIG_KEYS key sets its ExperimentConfig field, and is optional
+    where that field has a default.  The sweep's keys (_SWEEP_KEYS) are allowed
+    too, as one file serves both; any other key, a misspelling most likely, is
+    refused.  Faults are named in order: missing keys (table order), values
+    that do not parse, unknown keys (file order), then ExperimentConfig's checks.
     """
+    from dataclasses import MISSING, fields
+
     from .simulate import ExperimentConfig
 
-    unread = dict(mapping)
-
-    def number(key, default=None):
-        value = _parse_float(unread, key, default)
-        unread.pop(key, None)
-        return value
-
-    if "transmittances" not in mapping:
-        raise ConfigError("missing required config key 'transmittances'")
-    try:
-        config = ExperimentConfig(
-            rep_rate=number("rep_rate_hz"),
-            duration=number("duration_s"),
-            transmittances=tuple(
-                _parse_float_list(unread.pop("transmittances"), "transmittances")
-            ),
-            eta_apd=number("eta_apd"),
-            dark_rate=number("dark_rate_hz", 0.0),
-            t_uncertainty=number("t_uncertainty", 0.0),
-            eta_rel_uncertainty=number("eta_rel_uncertainty", 0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-    for key in unread:
-        if not any(key in keys for keys in _SWEEP_KEYS.values()):
+    required = {field.name for field in fields(ExperimentConfig) if field.default is MISSING}
+    for key, name in _CONFIG_KEYS.items():
+        if name in required and key not in mapping:
+            raise ConfigError(f"missing required config key '{key}'")
+    values = {name: _parse_float_list(mapping[key], key) if key == "transmittances"
+              else _parse_float(mapping, key) for key, name in _CONFIG_KEYS.items()
+              if key in mapping}
+    for key in mapping:
+        if key not in _CONFIG_KEYS and not any(key in keys for keys in _SWEEP_KEYS.values()):
             raise ConfigError(f"unknown config key '{key}'")
-    return config
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_states(text: str) -> list:

@@ -484,6 +484,20 @@ def test_ml_solve_at_least_as_likely_as_truth_on_dark_tables():
         assert log_l >= truth - 1e-9 * abs(truth) - 1e-6, (records, eta, dark, trace, det)
 
 
+def test_interior_ascent_stops_once_a_step_gains_nothing():
+    # the worst dark table: every full Newton step crosses the floor u > e0, so
+    # accepted steps are cut short there; a row stops once one gains nothing
+    # rather than creeping on (658 kernel calls without that stop)
+    records, eta, dark, _, _ = list(dark_tables(200, seed=11))[13]
+    with mock.patch.object(estimate, "_setting_loglike", wraps=estimate._setting_loglike) as spy:
+        trace, det, reliable, log_l = _ml_solve(*_setting_arrays([records], [eta]), dark)
+    assert spy.call_count < 450
+    assert trace.item() == pytest.approx(12.5329799378, rel=1e-6)
+    assert det.item() == pytest.approx(39.2688965306, rel=1e-6)
+    assert not reliable.item()
+    assert log_l.item() == pytest.approx(-12.6283773657, rel=1e-6)
+
+
 def test_dark_clicks_alone_give_the_vacuum():
     # no clicks where light reaches: the vacuum, whose no-click probability is
     # exp(-dark) at every setting, so its log-likelihood is -dark * trials when

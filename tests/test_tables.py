@@ -1,10 +1,13 @@
+import dataclasses
 import io
 
 import pytest
 
 from sqclick import ClickRecord, ExperimentConfig, run_ensemble
+from sqclick.cli import main
 from sqclick.estimate import Estimate
 from sqclick.tables import (
+    _CONFIG_KEYS,
     ConfigError,
     config_from_mapping,
     estimate_lines,
@@ -52,7 +55,36 @@ class TestConfigParsing:
             }
         )
         assert cfg.dark_rate == 0.0
+        assert cfg.t_uncertainty == 0.0
         assert cfg.eta_rel_uncertainty == 0.0
+        assert cfg == ExperimentConfig(rep_rate=1000.0, duration=1.0,
+                                       transmittances=(1.0, 0.5), eta_apd=0.3)
+
+    def test_key_table_sets_every_field_once(self):
+        # a new ExperimentConfig field without a config key fails here
+        fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
+        assert sorted(_CONFIG_KEYS.values()) == sorted(fields)
+
+    def test_missing_keys_named_in_table_order(self):
+        with pytest.raises(ConfigError, match="missing required config key 'rep_rate_hz'"):
+            config_from_mapping({"eta_apd": "0.3", "rep_rate": "fast"})
+
+    def test_unknown_key_named_before_out_of_range_value(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_TEXT.replace("duration_s = 100", "duration_s = 0")
+                        + "dark_rate = 300\n")
+        assert main(["simulate", "--config", str(path), "--trace", "2.5", "--det", "1",
+                     "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown config key 'dark_rate'" in captured.err
+
+    def test_first_unknown_key_in_file_order_named(self):
+        unknown = ["zeta", "eta", "dark_rate", "alpha", "duration"]
+        mapping = dict(rep_rate_hz="1000", duration_s="1", transmittances="1 0.5",
+                       eta_apd="0.3", **{key: "1" for key in unknown})
+        with pytest.raises(ConfigError, match="^unknown config key 'zeta'$"):
+            config_from_mapping(mapping)
 
     def test_missing_key_rejected(self):
         with pytest.raises(ConfigError):
