@@ -247,11 +247,11 @@ def _ml_solve(eff, ns, cs, dark=0.0):
     # One Newton loop for the pure edge a = -b (det = 1) and the thermal edge
     # a = b^2/4 (det = (trace/2)^2), each from its own weighted fit.  On the pure
     # edge u = b*(e1 - e2), a ratio of the sums above.  On the thermal edge
-    # sqrt(4 + u) = 2 + eff*b/2, so each setting gives b_i = 4q/((1 - q)*eff),
-    # averaged with inverse-variance weights n*eff^2*(1 - q)^3/q, without dark counts.
-    starts = np.stack([(g1 - g2) / (s11 - 2.0 * s21 + s22),
-                       (4.0 * ns * eff * p * p).sum(-1) / (ns * e2 * p * p * p / q).sum(-1)
-                       if dark == 0.0 else b])
+    # sqrt(4 + u) = 2 + eff*b/2; with the light-only no-click pl = p*e^dark, ql = 1 - pl,
+    # each setting gives b_i = 4ql/(pl*eff), weighted by n*(e2/scale)*pl^3/ql.
+    pl, ql = p * np.exp(dark), q - p * np.expm1(dark)
+    thermal = scale * (4.0 * ns * eff * pl * pl).sum(-1) / (ns * e2 * pl * pl * pl / ql).sum(-1)
+    starts = np.stack([(g1 - g2) / (s11 - 2.0 * s21 + s22), thermal])
     b_pure, b_thermal = _edge_max(np.where((0.0 < starts) & (starts < np.inf), starts, b),
                                   np.array([[0.0], [0.25]]), np.array([[-1.0], [0.0]]),
                                   e2, e1, e0, ns, cs)

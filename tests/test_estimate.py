@@ -498,6 +498,34 @@ def test_interior_ascent_stops_once_a_step_gains_nothing():
     assert log_l.item() == pytest.approx(-12.6283773657, rel=1e-6)
 
 
+def test_thermal_start_is_the_light_only_closed_form():
+    # the thermal edge starts from one closed form with and without dark counts,
+    # on the light-only no-click fraction pl = p*e^dark: each setting's
+    # b_i = 4*ql/(pl*eff), weighted by n*eff^2*pl^3/ql.  The dark table clicks
+    # above its dark expectation (its start was the weighted fit's b, 25584.7,
+    # before); on a dark-free paper-state table the start keeps its bits
+    dark_records, dark_eta, dark, _, _ = list(dark_tables(2, seed=11))[1]
+    paper_records = noiseless_records(TRACE0, DET0, 0.5)
+    starts = []
+    for records, eta, d in ((dark_records, dark_eta, dark), (paper_records, 0.5, 0.0)):
+        with mock.patch.object(estimate, "_edge_max", wraps=estimate._edge_max) as spy:
+            _ml_solve(*_setting_arrays([records], [eta]), d)
+        starts.append(spy.call_args.args[0][1].item())
+
+    eff, ns, cs = _setting_arrays([dark_records], [dark_eta])
+    assert (cs / ns > -np.expm1(-dark)).all()  # more clicks than the dark counts explain
+    pl = (ns - cs + 0.5) / (ns + 1.0) * math.exp(dark)
+    ql = 1.0 - pl
+    b_i, weight = 4.0 * ql / (pl * eff), ns * eff**2 * pl**3 / ql
+    assert starts[0] == pytest.approx((weight * b_i).sum() / weight.sum(), rel=1e-12)
+    assert starts[0] == pytest.approx(12322.896, rel=1e-6)
+
+    eff, ns, cs = _setting_arrays([paper_records], [0.5])
+    q = (cs + 0.5) / (ns + 1.0)
+    p = 1.0 - q
+    assert starts[1] == (4.0 * ns * eff * p * p).sum() / (ns * (eff * eff) * p * p * p / q).sum()
+
+
 def test_dark_clicks_alone_give_the_vacuum():
     # no clicks where light reaches: the vacuum, whose no-click probability is
     # exp(-dark) at every setting, so its log-likelihood is -dark * trials when
