@@ -14,12 +14,13 @@ one array pass, to ``simulate``'s draw helpers, which build the Generators
 and hold the no-noise rule, so run k draws exactly what ``simulate_run``
 and ``perturbed_eta`` draw from its two seeds, however runs are scheduled.
 Like ``ml_estimate``, an ensemble rejects an assumed efficiency below 1e-12,
-and a sweep checks every point before it runs any.
+and a sweep checks that it has points, and every point, before it runs any.
 """
 
 import math
+import operator
 from dataclasses import replace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def run_ensemble(
     n_runs: int,
     seed: int,
 ) -> EnsembleResult:
-    """Simulate the whole experiment ``n_runs`` times and estimate each run.
+    """Simulate the whole experiment ``n_runs`` (an integer) times and estimate each run.
 
     Each run draws fresh true transmittances, fresh click statistics, and
     a fresh efficiency value as known to the estimator.  Dark counts are
@@ -72,6 +73,7 @@ def run_ensemble(
     bit-identical to the solver on its own records (to ``ml_estimate``
     without a dark rate).  Returns RMS deviations from (trace_true, det_true).
     """
+    n_runs = operator.index(n_runs)  # a float raises TypeError, as a float seed does
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     # run k: seed 2k for its data, 2k + 1 for its eta
@@ -103,35 +105,31 @@ def eta_sweep(
     trace_true: float,
     det_true: float,
     base_config: ExperimentConfig,
-    etas: list,
+    etas: Iterable[float],
     n_runs: int,
     with_uncertainties: bool,
     seed: int,
 ) -> list:
-    """One ensemble per detector efficiency.
-
-    with_uncertainties toggles the calibration-knowledge noise: False
-    zeroes t_uncertainty and eta_rel_uncertainty regardless of the base
-    config, True keeps the base config values.
+    """One ensemble per detector efficiency of ``etas``, any iterable (numpy
+    arrays included); an empty one raises ValueError.  with_uncertainties
+    toggles the calibration-knowledge noise: False zeroes t_uncertainty and
+    eta_rel_uncertainty regardless of the base config, True keeps its values.
     """
-    if not etas:
-        raise ValueError("etas must be non-empty")
     if not with_uncertainties:
         base_config = replace(base_config, t_uncertainty=0.0, eta_rel_uncertainty=0.0)
-    return _sweep(((trace_true, det_true, replace(base_config, eta_apd=eta)) for eta in etas),
-                  n_runs, seed)
+    return _sweep([(trace_true, det_true, replace(base_config, eta_apd=eta)) for eta in etas],
+                  n_runs, seed, "etas")
 
 
 def state_sweep(
-    states: list,
+    states: Iterable[tuple],
     config: ExperimentConfig,
     n_runs: int,
     seed: int,
 ) -> list:
-    """One ensemble per true state, at the config's fixed efficiency."""
-    if not states:
-        raise ValueError("states must be non-empty")
-    return _sweep(((trace, det, config) for trace, det in states), n_runs, seed)
+    """One ensemble per true (trace, det) of ``states`` at the config's fixed efficiency:
+    any iterable of pairs, an (N, 2) array included; an empty one raises ValueError."""
+    return _sweep([(trace, det, config) for trace, det in states], n_runs, seed, "states")
 
 
 def _check_assumed_etas(config):
@@ -141,12 +139,13 @@ def _check_assumed_etas(config):
     _check_etas(_draw_etas(config, [0]))
 
 
-def _sweep(points, n_runs, seed):
-    """One ensemble per (trace_true, det_true, config) point, point k seeded by
-    ``derive_seed(seed, k)``; ``run_ensemble`` is looked up at each call.
-    Every point is checked first, so a point that would be refused stops the
-    sweep before any runs."""
-    points = list(points)
+def _sweep(points, n_runs, seed, name="points"):
+    """One ensemble per (trace_true, det_true, config) of the list ``points``,
+    point k seeded by ``derive_seed(seed, k)``; ``run_ensemble`` is looked up at
+    each call.  Every point is checked first, so an empty list ("<name> must be
+    non-empty") or a point that would be refused stops the sweep before any runs."""
+    if not points:
+        raise ValueError(f"{name} must be non-empty")
     for trace, det, config in points:
         _require_physical(trace, det)
         _check_assumed_etas(config)

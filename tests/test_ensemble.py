@@ -151,6 +151,17 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(TRACE0, DET0, quick_config(), 0, seed=1)
 
+    @pytest.mark.parametrize("n_runs", [2.5, 3.0])
+    def test_float_run_count_rejected(self, n_runs):
+        # read like a seed, through operator.index: a float is refused even when whole
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            run_ensemble(TRACE0, DET0, quick_config(), n_runs, seed=1)
+
+    def test_numpy_integer_run_count_runs_as_its_int(self):
+        res = run_ensemble(TRACE0, DET0, quick_config(), np.int64(3), seed=1)
+        assert res == run_ensemble(TRACE0, DET0, quick_config(), 3, seed=1)
+        assert type(res.n_runs) is int
+
     @pytest.mark.parametrize("n_runs", [1, 40])
     def test_zero_efficiency_rejected_like_ml_estimate(self, n_runs):
         cfg = quick_config(eta_apd=0.0)
@@ -348,8 +359,16 @@ class TestEtaSweep:
         assert [r.eta for r in res] == [0.3, 0.6]
 
     def test_empty_etas_rejected(self):
-        with pytest.raises(ValueError):
-            eta_sweep(TRACE0, DET0, quick_config(), [], 2, False, seed=4)
+        for etas in ([], iter([]), np.array([])):
+            with pytest.raises(ValueError, match="^etas must be non-empty$"):
+                eta_sweep(TRACE0, DET0, quick_config(), etas, 2, False, seed=4)
+
+    def test_any_iterable_of_etas_runs_as_the_list(self):
+        cfg = quick_config(t_uncertainty=0.005, eta_rel_uncertainty=0.01)
+        etas = [0.05, 0.2, 0.6]
+        expected = eta_sweep(TRACE0, DET0, cfg, etas, 3, True, seed=4)
+        for given in (np.array(etas), tuple(etas), (eta for eta in etas)):
+            assert eta_sweep(TRACE0, DET0, cfg, given, 3, True, seed=4) == expected
 
 
 class TestStateSweep:
@@ -371,8 +390,15 @@ class TestStateSweep:
         assert [(r.trace_true, r.det_true) for r in res] == states
 
     def test_empty_states_rejected(self):
-        with pytest.raises(ValueError, match="states must be non-empty"):
-            state_sweep([], quick_config(), 2, seed=10)
+        for states in ([], iter([]), np.empty((0, 2))):
+            with pytest.raises(ValueError, match="^states must be non-empty$"):
+                state_sweep(states, quick_config(), 2, seed=10)
+
+    def test_any_iterable_of_states_runs_as_the_list(self):
+        states = [(2.321, 1.156), (2.5, 1.3)]
+        expected = state_sweep(states, quick_config(), 3, seed=10)
+        for given in (np.array(states), tuple(states), iter(states)):
+            assert state_sweep(given, quick_config(), 3, seed=10) == expected
 
     @pytest.mark.parametrize("noise", [dict(t_uncertainty=0.005, eta_rel_uncertainty=0.01), {}],
                              ids=["paper-noise", "exact"])
