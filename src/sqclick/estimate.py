@@ -10,6 +10,12 @@ lies FLATNESS_NATS below the maximum.  The solver works on (R, S)
 blocks, R runs by S settings, and solves every row on its own:
 ``run_ensemble`` hands it all its runs at once and gets, bit for bit,
 what ``ml_estimate``, the same solver at R = 1, gives each run alone.
+At R = 1 the edge and interior Newton loops run on Python floats, where
+numpy's per-call cost on length-S arrays would dominate.  They make the
+batched loops' +, -, *, / and sqrt in the batched order, which IEEE 754
+rounds alike in Python and numpy; every sum over settings is still one
+numpy reduction and every log-likelihood value still numpy's kernel, so
+the bits hold.
 
 The closed forms live in ``gaussian``: the exact two-point inversion
 (re-exported here as ``invert_two_point``, its old import path), its
@@ -17,6 +23,7 @@ The closed forms live in ``gaussian``: the exact two-point inversion
 ``Estimate`` is a NamedTuple, so this module loads no ``dataclasses``.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +102,25 @@ def _setting_loglike(u, n, c, slopes=False):
     return 0.5 * (w - n / s2), 0.5 * (n / (s2 * s2) - w * (s - 1.0) * r / s)
 
 
+def _div(x, y):
+    """x / y on Python floats, numpy's +-inf or NaN where Python raises."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(x) / y)
+
+
+def _setting_slopes(u, n, c):
+    """``_setting_loglike(u, n, c, slopes=True)`` of one setting on Python floats: the
+    same operations in the same order, each rounded as numpy rounds it.  Callers take
+    it at u >= -1, where sqrt(4 + u) is real and no divisor but s*u can be zero."""
+    s = math.sqrt(4.0 + u)
+    r = _div(s + 2.0, s * u) if c > 0 else 0.0
+    w, s2 = c * r, s * s
+    return 0.5 * (w - n / s2), 0.5 * (n / (s2 * s2) - w * (s - 1.0) * r / s)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def _loglike(trace, det, eff, n, c, k=1.0, e0=0.0):
     """Log-likelihood summed over settings, the last axis; trace and det broadcast
@@ -134,7 +160,14 @@ def _edge_max(b, kappa, lam, e2, e1, e0, ns, cs):
     kept inside a bracket on the sign of the slope (+inf at b = 0 without dark counts).
     b has a row of starts per edge, kappa and lam a (1,)-row each.  A row stops after
     an in-bracket step of at most 1e-9*b, leaving an error of order step^2, or keeps its
-    b once the step or the bracket is down to the rounding of b or of trace = 2 + b."""
+    b once the step or the bracket is down to the rounding of b or of trace = 2 + b.
+    A one-row block (R = 1) runs each edge through ``_edge_row`` on Python floats,
+    where numpy's per-call cost on length-S arrays outweighs the work; the row
+    count alone chooses, and both paths give each row the same bits."""
+    if ns.shape[0] == 1:
+        e2, e1, ns, cs = (x[0].tolist() for x in (e2, e1, ns, cs))
+        return np.array([[_edge_row(*edge, e2, e1, e0, ns, cs)] for edge in
+                         zip(b[:, 0].tolist(), kappa[:, 0].tolist(), lam[:, 0].tolist())])
     lo, hi, done = np.zeros_like(b), np.full_like(b, np.inf), np.zeros(b.shape, dtype=bool)
     two_kappa = 2.0 * kappa
     for _ in range(400):
@@ -158,6 +191,46 @@ def _edge_max(b, kappa, lam, e2, e1, e0, ns, cs):
     return b
 
 
+def _edge_row(b, kappa, lam, e2, e1, e0, ns, cs):
+    """``_edge_max`` of one edge of one row, on Python floats and lists over settings.
+
+    Every +, -, *, / and sqrt is the batched loop's, in its order, and IEEE 754
+    rounds each alike in Python and numpy; each pass's three sums over settings
+    are one numpy reduction, so they keep numpy's pairwise order.  np.minimum's
+    and np.fmin's NaN rules are spelled out.  The edge returns once it is done,
+    where the batched loop freezes its b.  Here u >= e0 >= 0, as b > 0."""
+    lo, hi = 0.0, math.inf
+    two_kappa = 2.0 * kappa
+    for _ in range(400):
+        x, y = (kappa * b + lam) * b, two_kappa * b + lam
+        terms = [], [], []
+        for e2i, e1i, n, c in zip(e2, e1, ns, cs):
+            d1, d2 = _setting_slopes(e2i * x + e1i * b + e0, n, c)
+            du = e2i * y + e1i
+            terms[0].append(d1 * du)
+            terms[1].append(d2 * du * du)
+            terms[2].append(d1 * e2i)
+        g, h, h_kappa = np.add.reduce(np.array(terms), -1).tolist()
+        h += two_kappa * h_kappa
+        if g > 0.0:
+            lo = b
+        else:
+            hi = b
+        step = -g / h if h < 0.0 else math.inf
+        new = b + step
+        inside = lo < new < hi
+        if not inside:
+            mid, double = 0.5 * (lo + hi), 2.0 * b
+            new = mid if mid <= double or mid != mid else double  # np.minimum
+        bracket = hi - lo
+        if (abs(step) if bracket != bracket or abs(step) <= bracket else bracket) <= 4e-16 * b:
+            return b  # np.fmin above: the step or the bracket rounds away
+        if inside and abs(step) <= 1e-9 * b or 2.0 + hi == 2.0:
+            return new
+        b = new
+    return b
+
+
 def _interior_max(a, b, e2, e1, e0, ns, cs):
     """Damped Newton ascent in (a, b) of each row where every informative u > e0.
 
@@ -166,8 +239,13 @@ def _interior_max(a, b, e2, e1, e0, ns, cs):
     to the rounding of its log-likelihood, once an accepted step gained no
     more than that rounding (a step cut short by the floor, which touches the
     physical region only at the vacuum corner, an edge candidate already), or
-    when 40 halvings of the step never raise the log-likelihood.
+    when 40 halvings of the step never raise the log-likelihood.  A one-row block
+    (R = 1) takes its Newton steps on Python floats in ``_interior_row``, with the
+    same bits; its log-likelihood values stay numpy's.
     """
+    if a.size == 1:
+        a, b = _interior_row(a.item(), b.item(), e2, e1, e0, ns, cs)
+        return np.array([a]), np.array([b])
     floor = np.where(e1 > 0.0, e0, -1.0)  # u > floor: u > e0 wherever the setting counts
     e22, e21, e11 = e2 * e2, e2 * e1, e1 * e1
     u = e2 * a[:, None] + e1 * b[:, None] + e0
@@ -193,6 +271,42 @@ def _interior_max(a, b, e2, e1, e0, ns, cs):
             u = np.where(ok[:, None], ut, u)
             moving, pending = moving | gained, pending & ~ok
         if not moving.any():
+            break
+    return a, b
+
+
+def _interior_row(a, b, e2, e1, e0, ns, cs):
+    """``_interior_max`` of one row, its Newton steps on Python floats as in
+    ``_edge_row``: each pass's five sums are one numpy reduction, and the 2x2 solve
+    divides as numpy does.  Every log-likelihood value, the start's and each halving
+    trial's, is still ``_setting_loglike`` on the row's arrays.  A slope is taken at
+    the start, inside the physical region, or at an accepted u > floor >= -1."""
+    coef = np.concatenate([e2, e1, e2 * e2, e2 * e1, e1 * e1])
+    e2, e1, n_row, c_row = (x[0].tolist() for x in (e2, e1, ns, cs))
+    floor = [e0 if e1i > 0.0 else -1.0 for e1i in e1]
+    u = [e2i * a + e1i * b + e0 for e2i, e1i in zip(e2, e1)]
+    value = _setting_loglike(np.array([u]), ns, cs).sum(-1).item()
+    for _ in range(100):
+        d1, d2 = zip(*map(_setting_slopes, u, n_row, c_row))
+        d2 = [abs(x) for x in d2]
+        ga, gb, h22, h21, h11 = np.add.reduce(coef * np.array((d1, d1, d2, d2, d2)), -1).tolist()
+        d = h22 * h11 - h21 * h21  # gaussian._solve2
+        sa, sb = _div(h11 * ga - h21 * gb, d), _div(h22 * gb - h21 * ga, d)
+        tol = 1e-10 + 1e-15 * abs(value)
+        if not ga * sa + gb * sb > tol:
+            break
+        for k in range(40):  # halve the step until the log-likelihood rises
+            ta, tb = a + 0.5**k * sa, b + 0.5**k * sb
+            ut = [e2i * ta + e1i * tb + e0 for e2i, e1i in zip(e2, e1)]
+            if all(x > f for x, f in zip(ut, floor)):
+                trial = _setting_loglike(np.array([ut]), ns, cs).sum(-1).item()
+                if trial > value:
+                    break
+        else:
+            break
+        gained = trial - value > tol
+        a, b, value, u = ta, tb, trial, ut
+        if not gained:
             break
     return a, b
 
@@ -291,7 +405,10 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     (a = b^2/4), one loop over a = kappa*b^2 + lambda*b for both, det set
     exactly; the vacuum corner when there are no clicks.  The most likely
     wins; exact ties prefer the smaller det (the more conservative,
-    closer-to-pure claim).  This is the batched solver at R = 1.
+    closer-to-pure claim).  This is the batched solver at R = 1: its
+    Newton steps run on Python floats with the batched loops' operations
+    in their order, and its sums over settings and log-likelihood values
+    on numpy as there, so it returns the batched solver's bits.
 
     det_reliable is False when, at the optimal trace, both ends of the
     admissible det interval [1, (trace/2)^2] lie less than FLATNESS_NATS

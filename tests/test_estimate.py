@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,7 +38,9 @@ from sqclick import estimate
 from sqclick.estimate import FLATNESS_NATS, _ml_solve, _setting_arrays
 from sqclick.gaussian import _click_probability, _dark_terms
 from sqclick.modes import _mode_fit_table
-from sqclick.tables import estimate_lines
+from sqclick.tables import estimate_lines, write_click_records
+
+from row_twins import assert_row_twins_match_batched, record_row_calls
 
 TRACE0, DET0 = 2.321, 1.156
 N_FULL = 78_040_000
@@ -427,14 +433,10 @@ def test_singular_weighted_start_reaches_interior_maximum(n):
     assert est.det == pytest.approx(84.7725125099, rel=1e-6)
 
 
-def test_ml_solve_beats_grid_on_dark_and_saturated_tables():
-    # one dark setting (sometimes more), the rest saturated or within 2 clicks of
-    # n: tables whose weighted start can be singular.  Oracle: likelihood_grid's
-    # kernel over 181 log-spaced b = trace - 2 in [1e-9, 1e9] by 61 det fractions
-    # of [1, (trace/2)^2], a grid that is not rectangular in (trace, det); each
-    # block is one batched solve, bit-identical to ml_estimate on each table
-    trace = 2.0 + np.geomspace(1e-9, 1e9, 181)[:, None]
-    det = 1.0 + np.linspace(0.0, 1.0, 61) * (0.25 * trace * trace - 1.0)
+def dark_and_saturated_blocks():
+    # (runs, etas) of 40 tables for each of 3-8 settings: one dark setting
+    # (sometimes more), the rest saturated or within 2 clicks of n, tables whose
+    # weighted start can be singular
     rng = np.random.default_rng(0)
     for n_settings in range(3, 9):
         runs, etas = [], []
@@ -446,6 +448,17 @@ def test_ml_solve_beats_grid_on_dark_and_saturated_tables():
             ts = rng.uniform(0.05, 1.0, n_settings)
             runs.append([ClickRecord(float(t), n, int(c)) for t, c in zip(ts, clicks)])
             etas.append(10 ** rng.uniform(-3.0, 0.0))
+        yield runs, etas
+
+
+def test_ml_solve_beats_grid_on_dark_and_saturated_tables():
+    # Oracle: likelihood_grid's kernel over 181 log-spaced b = trace - 2 in
+    # [1e-9, 1e9] by 61 det fractions of [1, (trace/2)^2], a grid that is not
+    # rectangular in (trace, det); each block is one batched solve, bit-identical
+    # to ml_estimate on each table
+    trace = 2.0 + np.geomspace(1e-9, 1e9, 181)[:, None]
+    det = 1.0 + np.linspace(0.0, 1.0, 61) * (0.25 * trace * trace - 1.0)
+    for runs, etas in dark_and_saturated_blocks():
         eff, ns, cs = _setting_arrays(runs, etas)
         log_ls = _ml_solve(eff, ns, cs)[3]
         for row, log_l in enumerate(log_ls):
@@ -484,14 +497,36 @@ def test_ml_solve_at_least_as_likely_as_truth_on_dark_tables():
         assert log_l >= truth - 1e-9 * abs(truth) - 1e-6, (records, eta, dark, trace, det)
 
 
+def stacked(arrays, n_rows):
+    """Each (1, S) array repeated to n_rows rows."""
+    return [np.repeat(x, n_rows, axis=0) for x in arrays]
+
+
 def test_interior_ascent_stops_once_a_step_gains_nothing():
     # the worst dark table: every full Newton step crosses the floor u > e0, so
     # accepted steps are cut short there; a row stops once one gains nothing
-    # rather than creeping on (658 kernel calls without that stop)
+    # rather than creeping on.  The batched loops run the row stacked twice (658
+    # kernel calls without that stop); the row twin's interior makes 19 passes
+    # through its slope helper (26 without the stop)
     records, eta, dark, _, _ = list(dark_tables(200, seed=11))[13]
+    arrays = _setting_arrays([records], [eta])
     with mock.patch.object(estimate, "_setting_loglike", wraps=estimate._setting_loglike) as spy:
-        trace, det, reliable, log_l = _ml_solve(*_setting_arrays([records], [eta]), dark)
+        batched = _ml_solve(*stacked(arrays, 2), dark)
     assert spy.call_count < 450
+    interior_max, passes = estimate._interior_max, []
+
+    def count_passes(*args):
+        with mock.patch.object(estimate, "_setting_slopes",
+                               wraps=estimate._setting_slopes) as slopes:
+            found = interior_max(*args)
+        passes.append(slopes.call_count / len(records))
+        return found
+
+    with mock.patch.object(estimate, "_interior_max", count_passes):
+        trace, det, reliable, log_l = _ml_solve(*arrays, dark)
+    assert passes[0] < 23
+    assert [x.tobytes() for x in batched] == [np.repeat(x, 2).tobytes()
+                                              for x in (trace, det, reliable, log_l)]
     assert trace.item() == pytest.approx(12.5329799378, rel=1e-6)
     assert det.item() == pytest.approx(39.2688965306, rel=1e-6)
     assert not reliable.item()
@@ -542,16 +577,146 @@ def test_dark_clicks_alone_give_the_vacuum():
 def test_edge_loop_stops_once_trace_rounds_to_two():
     # fewer clicks than dark counts explain: both edges peak at b = 0, where the
     # slope is finite and negative, and the loop stops once trace = 2 + b rounds
-    # to 2 rather than halving b for all of its 400 passes
+    # to 2 rather than halving b for all of its 400 passes: the batched loop on the
+    # row stacked twice makes one kernel call per pass, and the row twin, one edge
+    # at a time, one pass through its slope helper per setting and pass
     eff, ns, cs = _setting_arrays([[ClickRecord(1.0, 10**6, 950), ClickRecord(0.5, 10**6, 950)]],
                                   [0.5])
     scale, e0 = _dark_terms(1e-3)
+    row = scale * eff * eff, scale * 2.0 * eff, e0, ns, cs
+    kappas, lams = np.array([[0.0], [0.25]]), np.array([[-1.0], [0.0]])
     with mock.patch.object(estimate, "_setting_loglike", wraps=estimate._setting_loglike) as spy:
-        b = estimate._edge_max(np.ones((2, 1)), np.array([[0.0], [0.25]]),
-                               np.array([[-1.0], [0.0]]), scale * eff * eff, scale * 2.0 * eff,
-                               e0, ns, cs)
+        b = estimate._edge_max(np.ones((2, 2)), kappas, lams, *stacked(row[:2], 2), e0,
+                               *stacked(row[3:], 2))
     assert (2.0 + b == 2.0).all() and spy.call_count < 100
+    for kappa, lam in zip(kappas, lams):
+        with mock.patch.object(estimate, "_setting_slopes",
+                               wraps=estimate._setting_slopes) as spy:
+            b = estimate._edge_max(np.ones((1, 1)), kappa[None], lam[None], *row)
+        assert 2.0 + b.item() == 2.0 and spy.call_count / eff.size < 100
     assert [x.item() for x in _ml_solve(eff, ns, cs, 1e-3)[:2]] == [2.0, 1.0]
+
+
+def test_setting_slopes_match_the_array_kernel():
+    # the row twins' per-setting slopes are _setting_loglike(slopes=True), bit for
+    # bit and NaN for NaN, from u = 1e-300 to 1e300 and inf, with c = 0, with c > 0
+    # at u = 0 (d1 = +inf) and with n up to 2**62; u >= -1 is where slopes are taken
+    us = np.concatenate([[-1.0, -0.5, 0.0], np.geomspace(1e-300, 1e300, 601), [np.inf]])
+    u, n, share = np.meshgrid(us, [1.0, 7.0, 1e6, 2.0**40, 2.0**62], [0.0, 1e-9, 0.5, 1.0],
+                              indexing="ij")
+    c = np.floor(share * n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kernel = estimate._setting_loglike(u, n, c, slopes=True)
+    row = [estimate._setting_slopes(*x) for x in zip(u.ravel().tolist(), n.ravel().tolist(),
+                                                     c.ravel().tolist())]
+    for k, slope in enumerate(kernel):
+        assert np.array([x[k] for x in row]).tobytes() == slope.ravel().tobytes()
+    assert np.isposinf(kernel[0][(u == 0.0) & (c > 0)]).all()
+
+
+def test_row_division_follows_numpy():
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x in (1.0, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan):
+            for y in (0.0, -0.0, 4.0):
+                assert np.float64(estimate._div(x, y)).tobytes() == (np.float64(x) / y).tobytes()
+
+
+def model_tables(transmittances, etas, n_seeds):
+    # (records, assumed eta) of the paper state with calibration noise
+    for eta in etas:
+        config = ExperimentConfig(rep_rate=780400.0, duration=100.0, transmittances=transmittances,
+                                  eta_apd=eta, t_uncertainty=0.005, eta_rel_uncertainty=0.01)
+        for seed in range(n_seeds):
+            yield simulate_run(TRACE0, DET0, config, 2 * seed), perturbed_eta(config, 2 * seed + 1)
+
+
+def test_row_twins_match_the_batched_loops():
+    def scan(n_settings):
+        return tuple((n_settings - i) / n_settings for i in range(n_settings))
+
+    n = 10**12
+    tables = [*model_tables((1.0, 0.75, 0.5, 0.25), (0.0084, 0.05, 0.5), 6),
+              *model_tables(scan(16), (0.0084, 0.05, 0.5), 6),
+              *(table for s in (8, 9, 17, 129) for table in model_tables(scan(s), (0.05, 0.5), 1)),
+              *((run, eta) for runs, etas in dark_and_saturated_blocks()
+                for run, eta in zip(runs, etas)),
+              # saturated rows at n = 1e12; beside a dark row at eta = 0.01 the
+              # interior's 2x2 determinant is 0 and its step divides by it
+              ([ClickRecord(0.5, n, 0)] + [ClickRecord(t, n, n) for t in (0.25, 0.66, 1.0)], 1.0),
+              ([ClickRecord(1.0, n, 0), ClickRecord(0.5, n, n)], 0.01),
+              ([ClickRecord(1.0, n, 0), ClickRecord(0.25, n, n - 2)], 0.01)]
+    runs = [(records, eta, 0.0) for records, eta in tables]
+    runs += [(records, eta, dark) for records, eta, dark, _, _ in dark_tables(200, seed=11)]
+    # a blocked beam with dark counts
+    runs.append(([ClickRecord(1.0, 10**6, 5000), ClickRecord(0.5, 10**6, 2600),
+                  ClickRecord(0.0, 10**6, 40)], 0.05, 4e-5))
+
+    def solve():
+        for records, eta, dark in runs:
+            _ml_solve(*_setting_arrays([records], [eta]), dark)
+
+    calls = record_row_calls(solve)
+    assert len(calls) > 1.8 * len(runs)  # an edge and an interior call per clicked table
+    assert_row_twins_match_batched(calls)
+
+
+# Run in a fresh interpreter at one numpy dispatch level: the row twins against
+# the batched loops on a 4- and a 16-setting table and a dark one, then
+# `sqclick estimate` on the table file argv[2], whose stdout the caller compares.
+DISPATCH_CHECK = """
+import sys
+import numpy as np
+from sqclick import ExperimentConfig, perturbed_eta, simulate_run
+from sqclick.cli import main
+from sqclick.estimate import _ml_solve, _setting_arrays
+from row_twins import assert_row_twins_match_batched, record_row_calls
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[f] for f in sys.argv[1].split())
+runs = []
+for ts, eta, dark_rate in (((1.0, 0.75, 0.5, 0.25), 0.05, 0.0),
+                           (tuple(k / 16 for k in range(16, 0, -1)), 0.5, 0.0),
+                           ((1.0, 0.5, 0.25, 0.0), 0.05, 3000.0)):
+    config = ExperimentConfig(rep_rate=780400.0, duration=100.0, transmittances=ts, eta_apd=eta,
+                              dark_rate=dark_rate, t_uncertainty=0.005, eta_rel_uncertainty=0.01)
+    runs.append((simulate_run(2.321, 1.156, config, 7), perturbed_eta(config, 8),
+                 dark_rate / 780400.0))
+calls = record_row_calls(lambda: [_ml_solve(*_setting_arrays([r], [e]), d) for r, e, d in runs])
+assert len(calls) == 2 * len(runs)
+assert_row_twins_match_batched(calls)
+sys.exit(main(["estimate", "--data", sys.argv[2], "--eta", "0.5"]))
+"""
+
+
+def dispatch_levels():
+    """NPY_DISABLE_CPU_FEATURES values from none down to numpy's baseline: each
+    disables one more of the dispatch targets this host has, the highest first."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return [" ".join(found[len(found) - k:]) for k in range(len(found) + 1)]
+
+
+def test_row_twins_hold_at_every_numpy_dispatch_level(tmp_path):
+    table = tmp_path / "clicks.csv"
+    config = ExperimentConfig(rep_rate=780400.0, duration=100.0, eta_apd=0.5,
+                              transmittances=tuple(k / 16 for k in range(16, 0, -1)))
+    with open(table, "w") as fh:
+        write_click_records(fh, simulate_run(TRACE0, DET0, config, 3), [])
+    tests, src = Path(__file__).resolve().parent, Path(estimate.__file__).resolve().parents[1]
+    stdouts = set()
+    for disabled in dispatch_levels():
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                   PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+        done = subprocess.run([sys.executable, "-c", DISPATCH_CHECK, disabled, str(table)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, (disabled, done.stderr)
+        stdouts.add(done.stdout)
+    assert len(stdouts) == 1 and "trace = " in stdouts.pop()
 
 
 def edge_loglike(b, kappa, lam, eff, ns, cs):
