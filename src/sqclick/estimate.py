@@ -10,12 +10,13 @@ lies FLATNESS_NATS below the maximum.  The solver works on (R, S)
 blocks, R runs by S settings, and solves every row on its own:
 ``run_ensemble`` hands it all its runs at once and gets, bit for bit,
 what ``ml_estimate``, the same solver at R = 1, gives each run alone.
-At R = 1 the edge and interior Newton loops run on Python floats, where
-numpy's per-call cost on length-S arrays would dominate.  They make the
-batched loops' +, -, *, / and sqrt in the batched order, which IEEE 754
-rounds alike in Python and numpy; every sum over settings is still one
-numpy reduction and every log-likelihood value still numpy's kernel, so
-the bits hold.
+An R = 1 solve is one pass on Python floats (``_ml_row``), where numpy's
+per-call cost on length-S arrays would dominate.  It makes the batched
+solver's +, -, *, / and sqrt in the batched order, which IEEE 754 rounds
+alike in Python and numpy.  numpy stays where Python's math module need
+not round alike: log and log1p, p**5, exp and expm1 of the dark mean, and
+each group of sums over settings, one reduction as in the batched solver;
+so the bits hold.
 
 The closed forms live in ``gaussian``: the exact two-point inversion
 (re-exported here as ``invert_two_point``, its old import path), its
@@ -46,6 +47,12 @@ from .gaussian import (  # noqa: F401  (invert_two_point: the old import path)
 # fluctuations alone, while informative data sit orders of magnitude
 # higher (tens of nats upward), so 3 nats splits the regimes cleanly.
 FLATNESS_NATS = 3.0
+
+# The solver's refusals, in the order it checks each run, then its last check.
+_CHECKS = ("a setting has zero trials", "clicks recorded at zero transmittance, where P(click) = 0",
+           "need at least two distinct nonzero transmittances",
+           "every setting always clicked: no finite likelihood maximum")
+_NOT_FINITE = "the likelihood maximum is not finite at this efficiency"
 
 
 class Estimate(NamedTuple):
@@ -161,13 +168,8 @@ def _edge_max(b, kappa, lam, e2, e1, e0, ns, cs):
     b has a row of starts per edge, kappa and lam a (1,)-row each.  A row stops after
     an in-bracket step of at most 1e-9*b, leaving an error of order step^2, or keeps its
     b once the step or the bracket is down to the rounding of b or of trace = 2 + b.
-    A one-row block (R = 1) runs each edge through ``_edge_row`` on Python floats,
-    where numpy's per-call cost on length-S arrays outweighs the work; the row
-    count alone chooses, and both paths give each row the same bits."""
-    if ns.shape[0] == 1:
-        e2, e1, ns, cs = (x[0].tolist() for x in (e2, e1, ns, cs))
-        return np.array([[_edge_row(*edge, e2, e1, e0, ns, cs)] for edge in
-                         zip(b[:, 0].tolist(), kappa[:, 0].tolist(), lam[:, 0].tolist())])
+    This numpy loop serves blocks of R > 1 rows; a one-row solve calls its twin
+    ``_edge_row`` on Python floats, with the same bits, from ``_ml_row``."""
     lo, hi, done = np.zeros_like(b), np.full_like(b, np.inf), np.zeros(b.shape, dtype=bool)
     two_kappa = 2.0 * kappa
     for _ in range(400):
@@ -239,13 +241,11 @@ def _interior_max(a, b, e2, e1, e0, ns, cs):
     to the rounding of its log-likelihood, once an accepted step gained no
     more than that rounding (a step cut short by the floor, which touches the
     physical region only at the vacuum corner, an edge candidate already), or
-    when 40 halvings of the step never raise the log-likelihood.  A one-row block
-    (R = 1) takes its Newton steps on Python floats in ``_interior_row``, with the
-    same bits; its log-likelihood values stay numpy's.
+    when 40 halvings of the step never raise the log-likelihood.  A halving whose
+    trial crosses the floor in every pending row skips the kernel.  This numpy
+    loop serves blocks of R > 1 rows; a one-row solve calls its twin
+    ``_interior_row`` on Python floats, with the same bits, from ``_ml_row``.
     """
-    if a.size == 1:
-        a, b = _interior_row(a.item(), b.item(), e2, e1, e0, ns, cs)
-        return np.array([a]), np.array([b])
     floor = np.where(e1 > 0.0, e0, -1.0)  # u > floor: u > e0 wherever the setting counts
     e22, e21, e11 = e2 * e2, e2 * e1, e1 * e1
     u = e2 * a[:, None] + e1 * b[:, None] + e0
@@ -264,8 +264,11 @@ def _interior_max(a, b, e2, e1, e0, ns, cs):
                 break
             ta, tb = a + 0.5**k * sa, b + 0.5**k * sb
             ut = e2 * ta[:, None] + e1 * tb[:, None] + e0
+            clear = pending & (ut > floor).all(-1)
+            if not clear.any():  # no trial can be accepted
+                continue
             trial = _setting_loglike(ut, ns, cs).sum(-1)
-            ok = pending & (ut > floor).all(-1) & (trial > value)
+            ok = clear & (trial > value)
             gained = ok & (trial - value > tol)
             a, b, value = np.where(ok, ta, a), np.where(ok, tb, b), np.where(ok, trial, value)
             u = np.where(ok[:, None], ut, u)
@@ -276,22 +279,21 @@ def _interior_max(a, b, e2, e1, e0, ns, cs):
 
 
 def _interior_row(a, b, e2, e1, e0, ns, cs):
-    """``_interior_max`` of one row, its Newton steps on Python floats as in
-    ``_edge_row``: each pass's five sums are one numpy reduction, and the 2x2 solve
-    divides as numpy does.  Every log-likelihood value, the start's and each halving
-    trial's, is still ``_setting_loglike`` on the row's arrays.  A slope is taken at
-    the start, inside the physical region, or at an accepted u > floor >= -1."""
-    coef = np.concatenate([e2, e1, e2 * e2, e2 * e1, e1 * e1])
-    e2, e1, n_row, c_row = (x[0].tolist() for x in (e2, e1, ns, cs))
+    """``_interior_max`` of one row on Python floats and lists over settings, as
+    ``_edge_row`` is: each pass's five sums are one numpy reduction, the 2x2 solve
+    divides as numpy does, and every log-likelihood value is ``_row_loglikes``'.  A
+    slope is taken at the start, inside the physical region, or at an accepted
+    u > floor >= -1."""
+    coef = np.array([e2, e1, [x * x for x in e2], [x * y for x, y in zip(e2, e1)],
+                     [y * y for y in e1]])
     floor = [e0 if e1i > 0.0 else -1.0 for e1i in e1]
     u = [e2i * a + e1i * b + e0 for e2i, e1i in zip(e2, e1)]
-    value = _setting_loglike(np.array([u]), ns, cs).sum(-1).item()
+    value = _row_loglikes([u], ns, cs)[0]
     for _ in range(100):
-        d1, d2 = zip(*map(_setting_slopes, u, n_row, c_row))
+        d1, d2 = zip(*map(_setting_slopes, u, ns, cs))
         d2 = [abs(x) for x in d2]
         ga, gb, h22, h21, h11 = np.add.reduce(coef * np.array((d1, d1, d2, d2, d2)), -1).tolist()
-        d = h22 * h11 - h21 * h21  # gaussian._solve2
-        sa, sb = _div(h11 * ga - h21 * gb, d), _div(h22 * gb - h21 * ga, d)
+        sa, sb = _solve2_row(h22, h21, h11, ga, gb)
         tol = 1e-10 + 1e-15 * abs(value)
         if not ga * sa + gb * sb > tol:
             break
@@ -299,7 +301,7 @@ def _interior_row(a, b, e2, e1, e0, ns, cs):
             ta, tb = a + 0.5**k * sa, b + 0.5**k * sb
             ut = [e2i * ta + e1i * tb + e0 for e2i, e1i in zip(e2, e1)]
             if all(x > f for x, f in zip(ut, floor)):
-                trial = _setting_loglike(np.array([ut]), ns, cs).sum(-1).item()
+                trial = _row_loglikes([ut], ns, cs)[0]
                 if trial > value:
                     break
         else:
@@ -309,6 +311,24 @@ def _interior_row(a, b, e2, e1, e0, ns, cs):
         if not gained:
             break
     return a, b
+
+
+def _solve2_row(h11, h12, h22, g1, g2):
+    """``gaussian._solve2`` of one system on Python floats, dividing as numpy does."""
+    d = h11 * h22 - h12 * h12
+    return _div(h22 * g1 - h12 * g2, d), _div(h11 * g2 - h12 * g1, d)
+
+
+def _row_loglikes(us, ns, cs):
+    """``_setting_loglike(u, ns, cs).sum(-1)`` of each row u of ``us``, one row's
+    settings on Python lists: sqrt, the divisions and the products on floats, which
+    IEEE 754 rounds as numpy does, and one np.log, one np.log1p and one reduction
+    for all rows, which Python's math module need not round alike.  u > -1."""
+    logs = np.log([[u / (2.0 * math.sqrt(4.0 + u) + 4.0) for u in row] for row in us]).tolist()
+    log1ps = np.log1p([[0.25 * u for u in row] for row in us]).tolist()
+    return np.add.reduce(np.array([[-0.5 * n * l1 + (c * lg if c > 0 else 0.0)
+                                    for n, c, lg, l1 in zip(ns, cs, lgs, l1s)]
+                                   for lgs, l1s in zip(logs, log1ps)]), -1).tolist()
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -321,22 +341,18 @@ def _ml_solve(eff, ns, cs, dark=0.0):
     offset of u that ``_dark_terms`` gives.  Every row is solved on its own:
     converged rows are frozen by masks, every sum runs over the last (settings)
     axis and no matrix product is used, so a run gets the same bits in any
-    batch as alone.  See ml_estimate for the method and the errors.
+    batch as alone.  A one-row block is ``_ml_row``'s; the row count alone chooses.
+    See ml_estimate for the method and the errors.
     """
+    if eff.shape[0] == 1:
+        return tuple(np.array([x]) for x in _ml_row(*(x[0].tolist() for x in (eff, ns, cs)), dark))
     lo = np.min(np.where(eff > 0.0, eff, np.inf), axis=-1, initial=np.inf)
     clicked = ((cs > 0) & (eff > 0.0)).any(-1)  # clicks that light can explain
-    checks = (
-        ((ns == 0).any(-1), "a setting has zero trials"),
-        (((eff == 0.0) & (cs > 0)).any(-1) & (dark == 0.0),
-         "clicks recorded at zero transmittance, where P(click) = 0"),
-        (~(lo < np.max(eff, axis=-1, initial=0.0)),
-         "need at least two distinct nonzero transmittances"),
-        (((cs == ns) | (eff == 0.0)).all(-1) & clicked,
-         "every setting always clicked: no finite likelihood maximum"),
-    )
-    failed = np.array([f for f, _ in checks])
+    failed = np.array([(ns == 0).any(-1), ((eff == 0.0) & (cs > 0)).any(-1) & (dark == 0.0),
+                       ~(lo < np.max(eff, axis=-1, initial=0.0)),
+                       ((cs == ns) | (eff == 0.0)).all(-1) & clicked])
     if failed.any():  # the first failing run, with its first failing check
-        raise EstimationError(checks[int(failed[:, failed.any(0).argmax()].argmax())][1])
+        raise EstimationError(_CHECKS[int(failed[:, failed.any(0).argmax()].argmax())])
 
     # No clicks where light reaches: the data are certain only for the vacuum (u' = e0).
     scale, e0 = _dark_terms(dark)
@@ -389,7 +405,77 @@ def _ml_solve(eff, ns, cs, dark=0.0):
     pinned = top - 1.0 < 1e-9  # det is fixed by the constraints
     reliable[live] = pinned | (log_l[live] - ends.min(-1) >= FLATNESS_NATS)
     if not np.isfinite([trace, det, log_l]).all():
-        raise EstimationError("the likelihood maximum is not finite at this efficiency")
+        raise EstimationError(_NOT_FINITE)
+    return trace, det, reliable, log_l
+
+
+def _ml_row(eff, ns, cs, dark):
+    """``_ml_solve`` of one row, given as lists over settings: the (trace, det,
+    det_reliable, log-likelihood) floats, in one pass on Python floats.
+
+    Every +, -, *, / and sqrt is the batched solver's, in its order, and rounds
+    alike; ``_div`` gives numpy's +-inf or NaN where Python raises, and numpy's
+    NaN rules for maximum, minimum, lexsort and min are spelled out.  numpy keeps
+    what Python's math module need not round alike: log and log1p (in
+    ``_row_loglikes``), p**5 as np.power, exp and expm1 of ``dark``, and each group
+    of sums over settings as one reduction on a (k, S) array."""
+    clicked = any(c > 0 and e > 0.0 for e, c in zip(eff, cs))  # clicks that light can explain
+    failed = (0.0 in ns, dark == 0.0 and any(e == 0.0 and c > 0 for e, c in zip(eff, cs)),
+              len({e for e in eff if e > 0.0}) < 2,
+              clicked and all(c == n or e == 0.0 for e, n, c in zip(eff, ns, cs)))
+    if any(failed):
+        raise EstimationError(_CHECKS[failed.index(True)])
+    scale, e0 = _dark_terms(dark)
+    if not clicked:  # the vacuum corner, its kernel on the scalar u' = e0 as in _ml_solve
+        lg, l1 = np.log(e0 / (2.0 * math.sqrt(4.0 + e0) + 4.0)), np.log1p(0.25 * e0)
+        log_l = np.add.reduce([-0.5 * n * l1 + (c * lg if c > 0 else 0.0)
+                               for n, c in zip(ns, cs)]).item()
+        if not math.isfinite(log_l):
+            raise EstimationError(_NOT_FINITE)
+        return 2.0, 1.0, True, log_l
+    e2, e1 = [scale * e * e for e in eff], [scale * 2.0 * e for e in eff]
+
+    # _ml_solve's weighted fit and edge starts: seven sums over settings, one reduction
+    q = [(c + 0.5) / (n + 1.0) for n, c in zip(ns, cs)]
+    p = [1.0 - x for x in q]
+    exp_dark, expm1_dark = np.exp(dark).item(), np.expm1(dark).item()
+    terms = []
+    for e, e2i, e1i, n, pi, qi, p5 in zip(eff, e2, e1, ns, p, q, np.power(p, 5.0).tolist()):
+        w, u_hat = n * p5 / qi, _div(4.0 * qi * (2.0 - qi), pi * pi) - e0
+        pl, ql = pi * exp_dark, qi - pi * expm1_dark
+        terms.append((w * e2i * e2i, w * e2i * e1i, w * e1i * e1i, w * e2i * u_hat,
+                      w * e1i * u_hat, 4.0 * n * e * pl * pl, _div(n * e2i * pl * pl * pl, ql)))
+    s22, s21, s11, g2, g1, th_num, th_den = np.add.reduce(np.array(list(zip(*terms))), -1).tolist()
+    a, b = _solve2_row(s22, s21, s11, g2, g1)  # a singular fit starts from (0, 1)
+    a, b = (a, b if b > 0.0 else 1.0) if math.isfinite(a) and math.isfinite(b) else (0.0, 1.0)
+    b_pure, b_thermal = (
+        _edge_row(start if 0.0 < start < math.inf else b, kappa, lam, e2, e1, e0, ns, cs)
+        for start, kappa, lam in ((_div(g1 - g2, s11 - 2.0 * s21 + s22), 0.0, -1.0),
+                                  (_div(scale * th_num, th_den), 0.25, 0.0)))
+    a = a if a > -b else -b  # np.maximum and np.minimum: no NaN here, b > 0
+    a, b = _interior_row(a if a < 0.25 * b * b else 0.25 * b * b, b, e2, e1, e0, ns, cs)
+
+    def loglikes(traces, dets):  # _loglike at each (trace, det); max keeps a NaN, as np.maximum
+        return _row_loglikes([[scale * max(_bs_gram_excess(t, d, e), 0.0) + e0 for e in eff]
+                              for t, d in zip(traces, dets)], ns, cs)
+
+    cand_t = [2.0 + b_pure, 2.0 + b_thermal, 2.0 + b]
+    top = [0.25 * t * t for t in cand_t]
+    inner = a + b + 1.0
+    cand_d = [1.0, top[1], inner if inner < top[2] or inner != inner else top[2]]  # np.minimum
+    scores = loglikes(cand_t, cand_d)
+    if not (b > 0.0 and -b < a < 0.25 * b * b):
+        scores[2] = -math.inf
+    # np.lexsort((cand_t, cand_d, -scores)): the most likely, then the smaller det,
+    # then the smaller trace; NaN sorts after every number, and ties keep their order
+    k = min(range(3), key=lambda i: [(x != x, x if x == x else 0.0)
+                                     for x in (-scores[i], cand_d[i], cand_t[i])])
+    trace, det, log_l, top = cand_t[k], cand_d[k], scores[k], top[k]
+    ends = loglikes([trace, trace], [1.0, top])
+    low = math.nan if any(x != x for x in ends) else min(ends)  # ends.min(): NaN propagates
+    reliable = top - 1.0 < 1e-9 or log_l - low >= FLATNESS_NATS
+    if not all(map(math.isfinite, (trace, det, log_l))):
+        raise EstimationError(_NOT_FINITE)
     return trace, det, reliable, log_l
 
 
@@ -405,10 +491,10 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     (a = b^2/4), one loop over a = kappa*b^2 + lambda*b for both, det set
     exactly; the vacuum corner when there are no clicks.  The most likely
     wins; exact ties prefer the smaller det (the more conservative,
-    closer-to-pure claim).  This is the batched solver at R = 1: its
-    Newton steps run on Python floats with the batched loops' operations
-    in their order, and its sums over settings and log-likelihood values
-    on numpy as there, so it returns the batched solver's bits.
+    closer-to-pure claim).  This is the solver at R = 1, one pass on Python
+    floats with the batched solver's operations in their order; only log,
+    log1p, power, exp and the sums over settings stay numpy calls, so it
+    returns the batched solver's bits.
 
     det_reliable is False when, at the optimal trace, both ends of the
     admissible det interval [1, (trace/2)^2] lie less than FLATNESS_NATS

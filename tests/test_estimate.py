@@ -40,7 +40,7 @@ from sqclick.gaussian import _click_probability, _dark_terms
 from sqclick.modes import _mode_fit_table
 from sqclick.tables import estimate_lines, write_click_records
 
-from row_twins import assert_row_twins_match_batched, record_row_calls
+from row_twins import assert_float_path_matches_numpy
 
 TRACE0, DET0 = 2.321, 1.156
 N_FULL = 78_040_000
@@ -505,24 +505,25 @@ def stacked(arrays, n_rows):
 def test_interior_ascent_stops_once_a_step_gains_nothing():
     # the worst dark table: every full Newton step crosses the floor u > e0, so
     # accepted steps are cut short there; a row stops once one gains nothing
-    # rather than creeping on.  The batched loops run the row stacked twice (658
-    # kernel calls without that stop); the row twin's interior makes 19 passes
-    # through its slope helper (26 without the stop)
+    # rather than creeping on.  The batched loops run the row stacked twice (49
+    # kernel calls; 386 when trials that cross the floor ran the kernel, 658 without
+    # the stop as well); the row twin's interior makes 19 passes through its slope
+    # helper (26 without the stop)
     records, eta, dark, _, _ = list(dark_tables(200, seed=11))[13]
     arrays = _setting_arrays([records], [eta])
     with mock.patch.object(estimate, "_setting_loglike", wraps=estimate._setting_loglike) as spy:
         batched = _ml_solve(*stacked(arrays, 2), dark)
-    assert spy.call_count < 450
-    interior_max, passes = estimate._interior_max, []
+    assert spy.call_count < 60
+    interior_row, passes = estimate._interior_row, []
 
     def count_passes(*args):
         with mock.patch.object(estimate, "_setting_slopes",
                                wraps=estimate._setting_slopes) as slopes:
-            found = interior_max(*args)
+            found = interior_row(*args)
         passes.append(slopes.call_count / len(records))
         return found
 
-    with mock.patch.object(estimate, "_interior_max", count_passes):
+    with mock.patch.object(estimate, "_interior_row", count_passes):
         trace, det, reliable, log_l = _ml_solve(*arrays, dark)
     assert passes[0] < 23
     assert [x.tobytes() for x in batched] == [np.repeat(x, 2).tobytes()
@@ -543,9 +544,9 @@ def test_thermal_start_is_the_light_only_closed_form():
     paper_records = noiseless_records(TRACE0, DET0, 0.5)
     starts = []
     for records, eta, d in ((dark_records, dark_eta, dark), (paper_records, 0.5, 0.0)):
-        with mock.patch.object(estimate, "_edge_max", wraps=estimate._edge_max) as spy:
+        with mock.patch.object(estimate, "_edge_row", wraps=estimate._edge_row) as spy:
             _ml_solve(*_setting_arrays([records], [eta]), d)
-        starts.append(spy.call_args.args[0][1].item())
+        starts.append(spy.call_args_list[1].args[0])  # the thermal edge's
 
     eff, ns, cs = _setting_arrays([dark_records], [dark_eta])
     assert (cs / ns > -np.expm1(-dark)).all()  # more clicks than the dark counts explain
@@ -559,6 +560,23 @@ def test_thermal_start_is_the_light_only_closed_form():
     q = (cs + 0.5) / (ns + 1.0)
     p = 1.0 - q
     assert starts[1] == (4.0 * ns * eff * p * p).sum() / (ns * (eff * eff) * p * p * p / q).sum()
+
+
+def test_one_row_solve_makes_no_array_kernel_call():
+    # a one-row solve is one pass on Python floats: a fallback to the array kernels
+    # at R = 1 fails here.  The same rows stacked twice take the numpy path, which
+    # calls both kernels
+    records, eta, dark, _, _ = list(dark_tables(2, seed=11))[1]
+    runs = [(noiseless_records(TRACE0, DET0, 0.5), 0.5, 0.0), (records, eta, dark),
+            ([ClickRecord(1.0, 1000, 0), ClickRecord(0.5, 1000, 0), ClickRecord(0.0, 1000, 3)],
+             0.5, 1e-3)]  # the vacuum corner
+    for n_rows in (1, 2):
+        with mock.patch.object(estimate, "_setting_loglike",
+                               wraps=estimate._setting_loglike) as kernel, \
+                mock.patch.object(estimate, "_loglike", wraps=estimate._loglike) as summed:
+            for records, eta, dark in runs:
+                _ml_solve(*stacked(_setting_arrays([records], [eta]), n_rows), dark)
+        assert (kernel.call_count == 0) == (summed.call_count == 0) == (n_rows == 1)
 
 
 def test_dark_clicks_alone_give_the_vacuum():
@@ -589,11 +607,12 @@ def test_edge_loop_stops_once_trace_rounds_to_two():
         b = estimate._edge_max(np.ones((2, 2)), kappas, lams, *stacked(row[:2], 2), e0,
                                *stacked(row[3:], 2))
     assert (2.0 + b == 2.0).all() and spy.call_count < 100
-    for kappa, lam in zip(kappas, lams):
+    for kappa, lam in zip(kappas[:, 0].tolist(), lams[:, 0].tolist()):
         with mock.patch.object(estimate, "_setting_slopes",
                                wraps=estimate._setting_slopes) as spy:
-            b = estimate._edge_max(np.ones((1, 1)), kappa[None], lam[None], *row)
-        assert 2.0 + b.item() == 2.0 and spy.call_count / eff.size < 100
+            b = estimate._edge_row(1.0, kappa, lam, *(x[0].tolist() for x in row[:2]), e0,
+                                   *(x[0].tolist() for x in row[3:]))
+        assert 2.0 + b == 2.0 and spy.call_count / eff.size < 100
     assert [x.item() for x in _ml_solve(eff, ns, cs, 1e-3)[:2]] == [2.0, 1.0]
 
 
@@ -651,25 +670,33 @@ def test_row_twins_match_the_batched_loops():
     runs.append(([ClickRecord(1.0, 10**6, 5000), ClickRecord(0.5, 10**6, 2600),
                   ClickRecord(0.0, 10**6, 40)], 0.05, 4e-5))
 
-    def solve():
-        for records, eta, dark in runs:
-            _ml_solve(*_setting_arrays([records], [eta]), dark)
-
-    calls = record_row_calls(solve)
-    assert len(calls) > 1.8 * len(runs)  # an edge and an interior call per clicked table
-    assert_row_twins_match_batched(calls)
+    calls = assert_float_path_matches_numpy(runs)
+    assert len(calls) > 2.7 * len(runs)  # two edge calls and an interior call per clicked table
+    # tables the solver refuses, each with the same message on both paths, and exact
+    # candidate ties: the edges' at trace = 2, and at t ~ 1e-200 a flat likelihood
+    # where all three tie at different dets.  At t ~ 1e-160 the thermal score and
+    # the upper det end are NaN, as (trace/2)^2 overflows
+    m = 10**6
+    assert_float_path_matches_numpy([
+        ([ClickRecord(1.0, 100, 10), ClickRecord(0.5, 0, 0)], 0.5, 0.0),  # zero trials
+        ([ClickRecord(1.0, m, 10), ClickRecord(0.0, m, 3)], 0.5, 0.0),  # clicks at t = 0
+        ([ClickRecord(0.5, m, 10), ClickRecord(0.5, m, 12)], 0.5, 0.0),  # one transmittance
+        ([ClickRecord(1.0, m, m), ClickRecord(0.5, m, m)], 0.5, 1e-3),  # all saturated
+        ([ClickRecord(1.0, m, 950), ClickRecord(0.5, m, 950)], 0.5, 1e-3),
+        ([ClickRecord(1e-200, 1000, 3), ClickRecord(5e-201, 1000, 1)], 1.0, 0.0),
+        ([ClickRecord(1e-160, 1000, 3), ClickRecord(5e-161, 1000, 1)], 1.0, 0.0)])
 
 
 # Run in a fresh interpreter at one numpy dispatch level: the row twins against
-# the batched loops on a 4- and a 16-setting table and a dark one, then
+# the batched loops, and the whole solve alone against the row stacked twice, on a
+# 4- and a 16-setting table and a dark one, then
 # `sqclick estimate` on the table file argv[2], whose stdout the caller compares.
 DISPATCH_CHECK = """
 import sys
 import numpy as np
 from sqclick import ExperimentConfig, perturbed_eta, simulate_run
 from sqclick.cli import main
-from sqclick.estimate import _ml_solve, _setting_arrays
-from row_twins import assert_row_twins_match_batched, record_row_calls
+from row_twins import assert_float_path_matches_numpy
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:  # numpy 1
@@ -683,9 +710,7 @@ for ts, eta, dark_rate in (((1.0, 0.75, 0.5, 0.25), 0.05, 0.0),
                               dark_rate=dark_rate, t_uncertainty=0.005, eta_rel_uncertainty=0.01)
     runs.append((simulate_run(2.321, 1.156, config, 7), perturbed_eta(config, 8),
                  dark_rate / 780400.0))
-calls = record_row_calls(lambda: [_ml_solve(*_setting_arrays([r], [e]), d) for r, e, d in runs])
-assert len(calls) == 2 * len(runs)
-assert_row_twins_match_batched(calls)
+assert len(assert_float_path_matches_numpy(runs)) == 3 * len(runs)
 sys.exit(main(["estimate", "--data", sys.argv[2], "--eta", "0.5"]))
 """
 
@@ -749,29 +774,27 @@ def test_edge_results_are_maxima_along_their_edges(t_percent, blocked, n_saturat
         q = click_probability_from_invariants(trace, det, eta * k / 100)
         clicks = n - int(rng.integers(1, 4)) if i < n_saturated else int(rng.binomial(n, q))
         records.append(ClickRecord(k / 100, n, clicks))
-    edge_max, calls = estimate._edge_max, []
+    edge_row, calls = estimate._edge_row, []
 
     def spy(*args):
-        calls.append((args, edge_max(*args)))
+        calls.append((args, edge_row(*args)))
         return calls[-1][1]
 
-    with mock.patch.object(estimate, "_edge_max", spy):
+    with mock.patch.object(estimate, "_edge_row", spy):
         ml_estimate(records, eta)
     eff, ns, cs = (x[0] for x in _setting_arrays([records], [eta]))
-    (_, kappas, lams, *_), found = calls[0]
-    for kappa, lam, b_row in zip(kappas[:, 0], lams[:, 0], found):
-        for b in b_row:  # no rows when nothing clicked
-            scan = b * np.geomspace(1e-6, 1e6, 1201)
-            i = int(np.argmax(edge_loglike(scan, kappa, lam, eff, ns, cs)))
-            best = minimize_scalar(lambda x: -edge_loglike(x, kappa, lam, eff, ns, cs),
-                                   bounds=(scan[max(i - 1, 0)], scan[min(i + 1, scan.size - 1)]),
-                                   method="bounded", options=dict(xatol=1e-12 * scan[i]))
-            # 1e-9 nats, widened by the rounding of the log-likelihood's terms of
-            # size n*ln(1 + u/4), which reach 1e7 on saturated data
-            u = eff * eff * ((kappa * b + lam) * b) + 2.0 * eff * b
-            tol = 1e-9 + 4.0 * np.finfo(float).eps * float((ns * np.log1p(0.25 * u)).sum())
-            at_b = edge_loglike(b, kappa, lam, eff, ns, cs)
-            assert at_b >= max(-best.fun, edge_loglike(scan[i], kappa, lam, eff, ns, cs)) - tol
+    for (_, kappa, lam, *_), b in calls:  # no calls when nothing clicked
+        scan = b * np.geomspace(1e-6, 1e6, 1201)
+        i = int(np.argmax(edge_loglike(scan, kappa, lam, eff, ns, cs)))
+        best = minimize_scalar(lambda x: -edge_loglike(x, kappa, lam, eff, ns, cs),
+                               bounds=(scan[max(i - 1, 0)], scan[min(i + 1, scan.size - 1)]),
+                               method="bounded", options=dict(xatol=1e-12 * scan[i]))
+        # 1e-9 nats, widened by the rounding of the log-likelihood's terms of
+        # size n*ln(1 + u/4), which reach 1e7 on saturated data
+        u = eff * eff * ((kappa * b + lam) * b) + 2.0 * eff * b
+        tol = 1e-9 + 4.0 * np.finfo(float).eps * float((ns * np.log1p(0.25 * u)).sum())
+        at_b = edge_loglike(b, kappa, lam, eff, ns, cs)
+        assert at_b >= max(-best.fun, edge_loglike(scan[i], kappa, lam, eff, ns, cs)) - tol
 
 
 def solved_bits(runs, etas):
