@@ -9,14 +9,13 @@ when neither end of the admissible det interval at the optimal trace
 lies FLATNESS_NATS below the maximum.  The solver works on (R, S)
 blocks, R runs by S settings, and solves every row on its own:
 ``run_ensemble`` hands it all its runs at once and gets, bit for bit,
-what ``ml_estimate``, the same solver at R = 1, gives each run alone.
-An R = 1 solve is one pass on Python floats (``_ml_row``), where numpy's
-per-call cost on length-S arrays would dominate.  It makes the batched
-solver's +, -, *, / and sqrt in the batched order, which IEEE 754 rounds
-alike in Python and numpy.  numpy stays where Python's math module need
-not round alike: log and log1p, p**5, exp and expm1 of the dark mean, and
-each group of sums over settings, one reduction as in the batched solver;
-so the bits hold.
+what ``ml_estimate`` gives each run alone: one table, read once into
+lists, is one pass on Python floats (``_ml_row``), where numpy's per-call
+cost on length-S arrays would dominate.  It makes the batched solver's +,
+-, *, / and sqrt in the batched order, which IEEE 754 rounds alike in
+Python and numpy.  numpy stays where Python's math module need not round
+alike: log and log1p, p**5, exp and expm1 of the dark mean, and each group
+of sums over settings, one reduction as in the batched solver.
 
 The closed forms live in ``gaussian``: the exact two-point inversion
 (re-exported here as ``invert_two_point``, its old import path), its
@@ -34,6 +33,7 @@ from .gaussian import (  # noqa: F401  (invert_two_point: the old import path)
     _ETA_FLOOR,
     _bs_gram_excess,
     _dark_terms,
+    _div,
     _require_physical,
     _solve2,
     _state_summary,
@@ -79,16 +79,21 @@ def _check_etas(etas):
             raise ValueError(f"eta_assumed = {eta} below the efficiency floor {_ETA_FLOOR}")
 
 
-def _setting_arrays(runs, etas):
-    """(R, S) effective transmittance, trials and clicks of click-record lists:
-    one row per run, settings last."""
-    if not all(runs):
+def _setting_row(data, eta):
+    """Effective transmittance, trials and clicks of one run's click records, any
+    iterable read once, as three lists of floats over settings."""
+    records = list(data)
+    if not records:
         raise EstimationError("no click records supplied")
-    _check_etas(etas)
-    eff = np.array([[eta * r.t_nominal for r in data] for data, eta in zip(runs, etas)], float)
-    ns = np.array([[r.trials for r in data] for data in runs], float)
-    cs = np.array([[r.clicks for r in data] for data in runs], float)
-    return eff, ns, cs
+    _check_etas([eta])
+    return ([float(eta * r.t_nominal) for r in records], [float(r.trials) for r in records],
+            [float(r.clicks) for r in records])
+
+
+def _setting_arrays(runs, etas):
+    """(R, S) effective transmittance, trials and clicks of the runs' click records:
+    ``_setting_row`` of each run, one row per run, settings last."""
+    return tuple(np.array(x, float) for x in zip(*map(_setting_row, runs, etas)))
 
 
 def _setting_loglike(u, n, c, slopes=False):
@@ -109,15 +114,6 @@ def _setting_loglike(u, n, c, slopes=False):
     return 0.5 * (w - n / s2), 0.5 * (n / (s2 * s2) - w * (s - 1.0) * r / s)
 
 
-def _div(x, y):
-    """x / y on Python floats, numpy's +-inf or NaN where Python raises."""
-    try:
-        return x / y
-    except ZeroDivisionError:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(np.float64(x) / y)
-
-
 def _setting_slopes(u, n, c):
     """``_setting_loglike(u, n, c, slopes=True)`` of one setting on Python floats: the
     same operations in the same order, each rounded as numpy rounds it.  Callers take
@@ -136,17 +132,18 @@ def _loglike(trace, det, eff, n, c, k=1.0, e0=0.0):
     return _setting_loglike(u, n, c).sum(-1)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def log_likelihood(trace: float, det: float, data: list, eta_assumed: float) -> float:
-    """Log-likelihood of the click records at the given invariants.
+    """Log-likelihood of the click records, any iterable, at the given invariants.
 
     Sum over settings of (trials - clicks)*ln(P) + clicks*ln(1 - P) with
     P the no-click probability at effective transmittance
     eta_assumed * t_nominal.  P = 1 with zero clicks contributes nothing;
-    P = 1 with clicks present returns -inf.
+    P = 1 with clicks present returns -inf.  One point on the float path's kernel.
     """
-    eff, ns, cs = _setting_arrays([data], [eta_assumed])
+    eff, ns, cs = _setting_row(data, eta_assumed)
     _require_physical(trace, det)
-    return float(_loglike(trace, det, eff, ns, cs)[0])
+    return _row_scores([trace], [det], eff, ns, cs)[0]
 
 
 def likelihood_grid(data, eta_assumed, trace_axis, det_axis) -> np.ndarray:
@@ -293,7 +290,7 @@ def _interior_row(a, b, e2, e1, e0, ns, cs):
         d1, d2 = zip(*map(_setting_slopes, u, ns, cs))
         d2 = [abs(x) for x in d2]
         ga, gb, h22, h21, h11 = np.add.reduce(coef * np.array((d1, d1, d2, d2, d2)), -1).tolist()
-        sa, sb = _solve2_row(h22, h21, h11, ga, gb)
+        sa, sb = _solve2(h22, h21, h11, ga, gb)
         tol = 1e-10 + 1e-15 * abs(value)
         if not ga * sa + gb * sb > tol:
             break
@@ -313,12 +310,6 @@ def _interior_row(a, b, e2, e1, e0, ns, cs):
     return a, b
 
 
-def _solve2_row(h11, h12, h22, g1, g2):
-    """``gaussian._solve2`` of one system on Python floats, dividing as numpy does."""
-    d = h11 * h22 - h12 * h12
-    return _div(h22 * g1 - h12 * g2, d), _div(h11 * g2 - h12 * g1, d)
-
-
 def _row_loglikes(us, ns, cs):
     """``_setting_loglike(u, ns, cs).sum(-1)`` of each row u of ``us``, one row's
     settings on Python lists: sqrt, the divisions and the products on floats, which
@@ -331,6 +322,12 @@ def _row_loglikes(us, ns, cs):
                                    for lgs, l1s in zip(logs, log1ps)]), -1).tolist()
 
 
+def _row_scores(traces, dets, eff, ns, cs, scale=1.0, e0=0.0):
+    """``_loglike`` of one row at each (trace, det), on lists; max keeps a NaN, as np.maximum."""
+    return _row_loglikes([[scale * max(_bs_gram_excess(t, d, e), 0.0) + e0 for e in eff]
+                          for t, d in zip(traces, dets)], ns, cs)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def _ml_solve(eff, ns, cs, dark=0.0):
     """Maximum-likelihood (trace, det, det_reliable, log-likelihood) arrays for R runs.
@@ -341,7 +338,8 @@ def _ml_solve(eff, ns, cs, dark=0.0):
     offset of u that ``_dark_terms`` gives.  Every row is solved on its own:
     converged rows are frozen by masks, every sum runs over the last (settings)
     axis and no matrix product is used, so a run gets the same bits in any
-    batch as alone.  A one-row block is ``_ml_row``'s; the row count alone chooses.
+    batch as alone.  A one-row block, as ``run_ensemble(n_runs=1)`` gives, is
+    ``_ml_row``'s; the row count alone chooses.
     See ml_estimate for the method and the errors.
     """
     if eff.shape[0] == 1:
@@ -410,11 +408,11 @@ def _ml_solve(eff, ns, cs, dark=0.0):
 
 
 def _ml_row(eff, ns, cs, dark):
-    """``_ml_solve`` of one row, given as lists over settings: the (trace, det,
-    det_reliable, log-likelihood) floats, in one pass on Python floats.
+    """``_ml_solve`` of one row, given as lists over settings (``ml_estimate``'s records
+    or a one-row block): the (trace, det, det_reliable, log-likelihood) floats.
 
     Every +, -, *, / and sqrt is the batched solver's, in its order, and rounds
-    alike; ``_div`` gives numpy's +-inf or NaN where Python raises, and numpy's
+    alike; ``gaussian._div`` gives numpy's +-inf or NaN where Python raises, numpy's
     NaN rules for maximum, minimum, lexsort and min are spelled out.  numpy keeps
     what Python's math module need not round alike: log and log1p (in
     ``_row_loglikes``), p**5 as np.power, exp and expm1 of ``dark``, and each group
@@ -426,10 +424,8 @@ def _ml_row(eff, ns, cs, dark):
     if any(failed):
         raise EstimationError(_CHECKS[failed.index(True)])
     scale, e0 = _dark_terms(dark)
-    if not clicked:  # the vacuum corner, its kernel on the scalar u' = e0 as in _ml_solve
-        lg, l1 = np.log(e0 / (2.0 * math.sqrt(4.0 + e0) + 4.0)), np.log1p(0.25 * e0)
-        log_l = np.add.reduce([-0.5 * n * l1 + (c * lg if c > 0 else 0.0)
-                               for n, c in zip(ns, cs)]).item()
+    if not clicked:  # the vacuum corner, u' = e0 at every setting
+        log_l = _row_loglikes([[e0] * len(ns)], ns, cs)[0]
         if not math.isfinite(log_l):
             raise EstimationError(_NOT_FINITE)
         return 2.0, 1.0, True, log_l
@@ -446,7 +442,7 @@ def _ml_row(eff, ns, cs, dark):
         terms.append((w * e2i * e2i, w * e2i * e1i, w * e1i * e1i, w * e2i * u_hat,
                       w * e1i * u_hat, 4.0 * n * e * pl * pl, _div(n * e2i * pl * pl * pl, ql)))
     s22, s21, s11, g2, g1, th_num, th_den = np.add.reduce(np.array(list(zip(*terms))), -1).tolist()
-    a, b = _solve2_row(s22, s21, s11, g2, g1)  # a singular fit starts from (0, 1)
+    a, b = _solve2(s22, s21, s11, g2, g1)  # a singular fit starts from (0, 1)
     a, b = (a, b if b > 0.0 else 1.0) if math.isfinite(a) and math.isfinite(b) else (0.0, 1.0)
     b_pure, b_thermal = (
         _edge_row(start if 0.0 < start < math.inf else b, kappa, lam, e2, e1, e0, ns, cs)
@@ -455,15 +451,11 @@ def _ml_row(eff, ns, cs, dark):
     a = a if a > -b else -b  # np.maximum and np.minimum: no NaN here, b > 0
     a, b = _interior_row(a if a < 0.25 * b * b else 0.25 * b * b, b, e2, e1, e0, ns, cs)
 
-    def loglikes(traces, dets):  # _loglike at each (trace, det); max keeps a NaN, as np.maximum
-        return _row_loglikes([[scale * max(_bs_gram_excess(t, d, e), 0.0) + e0 for e in eff]
-                              for t, d in zip(traces, dets)], ns, cs)
-
     cand_t = [2.0 + b_pure, 2.0 + b_thermal, 2.0 + b]
     top = [0.25 * t * t for t in cand_t]
     inner = a + b + 1.0
     cand_d = [1.0, top[1], inner if inner < top[2] or inner != inner else top[2]]  # np.minimum
-    scores = loglikes(cand_t, cand_d)
+    scores = _row_scores(cand_t, cand_d, eff, ns, cs, scale, e0)
     if not (b > 0.0 and -b < a < 0.25 * b * b):
         scores[2] = -math.inf
     # np.lexsort((cand_t, cand_d, -scores)): the most likely, then the smaller det,
@@ -471,7 +463,7 @@ def _ml_row(eff, ns, cs, dark):
     k = min(range(3), key=lambda i: [(x != x, x if x == x else 0.0)
                                      for x in (-scores[i], cand_d[i], cand_t[i])])
     trace, det, log_l, top = cand_t[k], cand_d[k], scores[k], top[k]
-    ends = loglikes([trace, trace], [1.0, top])
+    ends = _row_scores([trace, trace], [1.0, top], eff, ns, cs, scale, e0)
     low = math.nan if any(x != x for x in ends) else min(ends)  # ends.min(): NaN propagates
     reliable = top - 1.0 < 1e-9 or log_l - low >= FLATNESS_NATS
     if not all(map(math.isfinite, (trace, det, log_l))):
@@ -479,6 +471,7 @@ def _ml_row(eff, ns, cs, dark):
     return trace, det, reliable, log_l
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     """Constrained maximum-likelihood estimate of (trace, det).
 
@@ -491,10 +484,10 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     (a = b^2/4), one loop over a = kappa*b^2 + lambda*b for both, det set
     exactly; the vacuum corner when there are no clicks.  The most likely
     wins; exact ties prefer the smaller det (the more conservative,
-    closer-to-pure claim).  This is the solver at R = 1, one pass on Python
-    floats with the batched solver's operations in their order; only log,
-    log1p, power, exp and the sums over settings stay numpy calls, so it
-    returns the batched solver's bits.
+    closer-to-pure claim).  The records, any iterable, are read once into the
+    solver's one-row pass on Python floats (``_ml_row``), the batched solver's
+    operations in their order; only log, log1p, power, exp and the sums over
+    settings stay numpy calls, so it returns the batched solver's bits.
 
     det_reliable is False when, at the optimal trace, both ends of the
     admissible det interval [1, (trace/2)^2] lie less than FLATNESS_NATS
@@ -505,7 +498,6 @@ def ml_estimate(data: list, eta_assumed: float) -> Estimate:
     transmittances, clicks at zero transmittance, or clicks == trials at
     every setting (no finite maximum).
     """
-    solved = _ml_solve(*_setting_arrays([data], [eta_assumed]))
-    trace, det, reliable, log_l = (x.item() for x in solved)
+    trace, det, reliable, log_l = _ml_row(*_setting_row(data, eta_assumed), 0.0)
     return Estimate(trace=trace, det=det, det_reliable=reliable, **_state_summary(trace, det),
                     log_likelihood_at_max=log_l)

@@ -210,12 +210,9 @@ def invert_two_point(t1: float, p1: float, t2: float, p2: float) -> tuple[float,
         raise EstimationError(
             f"transmittances {t1} and {t2} too close to invert (|dt| < {DEGENERATE_T_TOL})"
         )
-    try:
-        u1, u2 = (4.0 * (1.0 - p) * (1.0 + p) / (p * p) for p in (p1, p2))
-        # The second row times 2*t1/t2^2 makes the system symmetric.
-        a, b = _solve2(t1 * t1, 2.0 * t1, 4.0 * t1 / t2, u1, 2.0 * t1 * u2 / (t2 * t2))
-    except ZeroDivisionError:  # p*p or the system's determinant underflowed to zero
-        a = b = math.inf
+    u1, u2 = (_div(4.0 * (1.0 - p) * (1.0 + p), p * p) for p in (p1, p2))
+    # The second row times 2*t1/t2^2 makes the system symmetric.
+    a, b = _solve2(t1 * t1, 2.0 * t1, 4.0 * t1 / t2, u1, _div(2.0 * t1 * u2, t2 * t2))
     trace, det = 2.0 + b, a + b + 1.0
     if not (math.isfinite(trace) and math.isfinite(det)):
         raise EstimationError(f"pairs ({t1}, {p1}) and ({t2}, {p2}) have no finite inversion")
@@ -238,10 +235,18 @@ def sensitivity(p1: float, eta: float) -> tuple[float, float]:
     return 4.0 / (eta * p3), -16.0 / (eta * eta * p3)
 
 
+def _div(x, y):
+    """x / y, and IEEE 754's +-inf or NaN where Python raises: numpy's quotient, bit for bit."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        return x * math.copysign(math.inf, y)
+
+
 def _solve2(h11, h12, h22, g1, g2):
     """Solution of the symmetric 2x2 systems [[h11, h12], [h12, h22]] x = g, row by row."""
     d = h11 * h22 - h12 * h12
-    return (h22 * g1 - h12 * g2) / d, (h11 * g2 - h12 * g1) / d
+    return _div(h22 * g1 - h12 * g2, d), _div(h11 * g2 - h12 * g1, d)
 
 
 def no_click_from_invariants(trace: float, det: float, eff_t: float) -> float:
@@ -370,6 +375,7 @@ def estimate_eta(click_rates: list, rep_rate: float) -> float:
     so that no sum overflows.  Result clamped to (0, 1]; a rep_rate that is
     not positive and finite, or a scale that is not finite, raises EstimationError.
     """
+    click_rates = list(click_rates)  # read once: any iterable of points
     if not click_rates:
         raise EstimationError("no calibration points supplied")
     if not 0.0 < rep_rate < math.inf:

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 import os
 import subprocess
@@ -34,7 +36,7 @@ from sqclick import (
     sensitivity,
     simulate_run,
 )
-from sqclick import estimate
+from sqclick import estimate, gaussian
 from sqclick.estimate import FLATNESS_NATS, _ml_solve, _setting_arrays
 from sqclick.gaussian import _click_probability, _dark_terms
 from sqclick.modes import _mode_fit_table
@@ -233,6 +235,35 @@ class TestLogLikelihood:
         log_l = likelihood_grid(records, 0.3, np.array([2.0]), np.array([1.0, 1.2]))
         assert log_l[0, 0] == 0.0
         assert log_l[0, 1] == float("-inf")  # det = 1.2 > (2/2)^2
+
+
+@pytest.mark.parametrize("kind", [tuple, iter, lambda records: (r for r in records)],
+                         ids=["tuple", "iterator", "generator"])
+def test_records_may_be_any_iterable(kind):
+    # each entry point reads its records once.  Read three times, an iterator
+    # gave ml_estimate the vacuum (trace 2, det 1, reliable) of a table with
+    # 6.8e6 clicks, and the likelihoods a broadcast ValueError; a tuple, read
+    # again, gave the list's answer already
+    records = noiseless_records(TRACE0, DET0, 0.5)
+    assert sum(r.clicks for r in records) > 6e6
+    axes = np.linspace(2.1, 2.6, 6), np.linspace(1.0, 1.4, 5)
+    assert repr(ml_estimate(kind(records), 0.5)) == repr(ml_estimate(records, 0.5))
+    assert repr(log_likelihood(TRACE0, DET0, kind(records), 0.5)) == repr(
+        log_likelihood(TRACE0, DET0, records, 0.5))
+    assert likelihood_grid(kind(records), 0.5, *axes).tobytes() == likelihood_grid(
+        records, 0.5, *axes).tobytes()
+
+
+@pytest.mark.parametrize("empty, eta", [(iter, 0.5), (iter, 2.0), (list, 2.0)],
+                         ids=["iterator", "iterator-eta-2", "list-eta-2"])
+def test_no_records_named_before_the_efficiency(empty, eta):
+    # an empty iterator is no records, named before a bad efficiency, as an
+    # empty list is; the efficiency was checked first on an iterator
+    for call in (lambda data: ml_estimate(data, eta),
+                 lambda data: log_likelihood(2.5, 1.2, data, eta),
+                 lambda data: likelihood_grid(data, eta, [2.5], [1.2])):
+        with pytest.raises(EstimationError, match="no click records supplied"):
+            call(empty([]))
 
 
 class TestMlEstimate:
@@ -579,6 +610,27 @@ def test_one_row_solve_makes_no_array_kernel_call():
         assert (kernel.call_count == 0) == (summed.call_count == 0) == (n_rows == 1)
 
 
+def test_one_table_entry_points_make_no_array_call():
+    # ml_estimate and log_likelihood go from the records straight to the float
+    # path: no (1, S) arrays, no _ml_solve dispatch and no array kernel, on a
+    # model table and on a vacuum one.  likelihood_grid, the control, calls them
+    tables = [(noiseless_records(TRACE0, DET0, 0.5), 0.5),
+              ([ClickRecord(1.0, 1000, 0), ClickRecord(0.5, 1000, 0)], 0.5)]
+    names = ("_setting_arrays", "_ml_solve", "_setting_loglike", "_loglike")
+
+    def calls(run):
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch.object(
+                estimate, name, wraps=getattr(estimate, name))) for name in names]
+            for records, eta in tables:
+                run(records, eta)
+        return [spy.call_count for spy in spies]
+
+    assert calls(ml_estimate) == [0, 0, 0, 0]
+    assert calls(lambda records, eta: log_likelihood(TRACE0, DET0, records, eta)) == [0, 0, 0, 0]
+    assert calls(lambda records, eta: likelihood_grid(records, eta, [2.5], [1.2])) == [2, 0, 2, 2]
+
+
 def test_dark_clicks_alone_give_the_vacuum():
     # no clicks where light reaches: the vacuum, whose no-click probability is
     # exp(-dark) at every setting, so its log-likelihood is -dark * trials when
@@ -637,7 +689,24 @@ def test_row_division_follows_numpy():
     with np.errstate(divide="ignore", invalid="ignore"):
         for x in (1.0, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan):
             for y in (0.0, -0.0, 4.0):
-                assert np.float64(estimate._div(x, y)).tobytes() == (np.float64(x) / y).tobytes()
+                assert np.float64(gaussian._div(x, y)).tobytes() == (np.float64(x) / y).tobytes()
+
+
+def test_solve2_on_floats_matches_arrays():
+    # one 2x2 solve serves the float path and the numpy path: every system over
+    # these entries, singular (d = +0.0 and -0.0, or d underflowing to 0),
+    # near-singular, overflowing, and with inf and NaN entries, gives the same
+    # bits on Python floats as on numpy arrays.  invert_two_point's refusal of a
+    # solve that underflows to a zero divisor stays covered by
+    # TestInvertTwoPoint.test_non_finite_solve_rejected
+    values = (0.0, -0.0, 1.0, 1.0 + 2.0**-52, -2.5, 1e-170, 1e200, math.inf, math.nan)
+    systems = list(itertools.product(values, repeat=5))
+    assert any(h11 * h22 - h12 * h12 == 0.0 and math.copysign(1.0, h11 * h22 - h12 * h12) < 0
+               for h11, h12, h22, _, _ in systems)  # d = -0.0
+    with np.errstate(all="ignore"):
+        arrays = gaussian._solve2(*np.array(systems).T)
+    floats = np.array([gaussian._solve2(*system) for system in systems]).T
+    assert floats.tobytes() == np.stack(arrays).tobytes()
 
 
 def model_tables(transmittances, etas, n_seeds):
@@ -689,12 +758,14 @@ def test_row_twins_match_the_batched_loops():
 
 # Run in a fresh interpreter at one numpy dispatch level: the row twins against
 # the batched loops, and the whole solve alone against the row stacked twice, on a
-# 4- and a 16-setting table and a dark one, then
-# `sqclick estimate` on the table file argv[2], whose stdout the caller compares.
+# 4- and a 16-setting table, a dark one and a dark one with no clicks where light
+# reaches (the vacuum corner, which calls no row twin), then `sqclick estimate` on
+# the table file argv[2] and a 2-point, 20-run `sqclick sweep` of the config file
+# argv[3], whose stdout the caller compares.
 DISPATCH_CHECK = """
 import sys
 import numpy as np
-from sqclick import ExperimentConfig, perturbed_eta, simulate_run
+from sqclick import ClickRecord, ExperimentConfig, perturbed_eta, simulate_run
 from sqclick.cli import main
 from row_twins import assert_float_path_matches_numpy
 try:
@@ -710,8 +781,12 @@ for ts, eta, dark_rate in (((1.0, 0.75, 0.5, 0.25), 0.05, 0.0),
                               dark_rate=dark_rate, t_uncertainty=0.005, eta_rel_uncertainty=0.01)
     runs.append((simulate_run(2.321, 1.156, config, 7), perturbed_eta(config, 8),
                  dark_rate / 780400.0))
-assert len(assert_float_path_matches_numpy(runs)) == 3 * len(runs)
-sys.exit(main(["estimate", "--data", sys.argv[2], "--eta", "0.5"]))
+vacuum = [ClickRecord(1.0, 10**6, 0), ClickRecord(0.5, 10**6, 0), ClickRecord(0.0, 10**6, 40)]
+runs.append((vacuum, 0.05, 4e-5))
+assert len(assert_float_path_matches_numpy(runs)) == 3 * (len(runs) - 1)
+assert main(["estimate", "--data", sys.argv[2], "--eta", "0.5"]) == 0
+sys.exit(main(["sweep", "--config", sys.argv[3], "--mode", "eta", "--seed", "11",
+               "--runs", "20"]))
 """
 
 
@@ -727,21 +802,28 @@ def dispatch_levels():
 
 
 def test_row_twins_hold_at_every_numpy_dispatch_level(tmp_path):
-    table = tmp_path / "clicks.csv"
+    table, sweep_config = tmp_path / "clicks.csv", tmp_path / "sweep.cfg"
     config = ExperimentConfig(rep_rate=780400.0, duration=100.0, eta_apd=0.5,
                               transmittances=tuple(k / 16 for k in range(16, 0, -1)))
     with open(table, "w") as fh:
         write_click_records(fh, simulate_run(TRACE0, DET0, config, 3), [])
+    sweep_config.write_text("rep_rate_hz = 780400\nduration_s = 100\n"
+                            "transmittances = 1, 0.75, 0.5, 0.25\neta_apd = 0.5\n"
+                            "t_uncertainty = 0.005\neta_rel_uncertainty = 0.01\n"
+                            f"state_trace = {TRACE0}\nstate_det = {DET0}\netas = 0.05, 0.5\n")
     tests, src = Path(__file__).resolve().parent, Path(estimate.__file__).resolve().parents[1]
     stdouts = set()
     for disabled in dispatch_levels():
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                    PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
-        done = subprocess.run([sys.executable, "-c", DISPATCH_CHECK, disabled, str(table)],
+        done = subprocess.run([sys.executable, "-c", DISPATCH_CHECK, disabled, str(table),
+                               str(sweep_config)],
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, (disabled, done.stderr)
         stdouts.add(done.stdout)
-    assert len(stdouts) == 1 and "trace = " in stdouts.pop()
+    assert len(stdouts) == 1
+    lines = stdouts.pop().splitlines()
+    assert "trace = " in lines[0] and lines[-3].startswith("trace_true,") and len(lines) > 3
 
 
 def edge_loglike(b, kappa, lam, eff, ns, cs):
@@ -984,6 +1066,16 @@ class TestEstimateEta:
             estimate_eta([(0.0, SqueezerParams(1.0, 1.0))], 780400.0)
         with pytest.raises(EstimationError):
             estimate_eta([], 780400.0)
+
+    def test_points_may_be_any_iterable(self):
+        # read once: an iterator of points gave the efficiency floor 1e-12, read
+        # twice, and an empty one blamed vacuum gain
+        points = self.points(0.3)
+        assert estimate_eta(points, 780400.0) == pytest.approx(0.3, rel=1e-12)
+        for kind in (iter, tuple, lambda pts: (p for p in pts)):
+            assert estimate_eta(kind(points), 780400.0) == estimate_eta(points, 780400.0)
+        with pytest.raises(EstimationError, match="no calibration points supplied"):
+            estimate_eta(iter([]), 780400.0)
 
     @pytest.mark.parametrize("rep_rate, expected", [(math.nan, None), (1e-170, 1.0)],
                              ids=["nan", "1e-170"])
